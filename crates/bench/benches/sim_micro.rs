@@ -81,5 +81,37 @@ fn bench_cpu(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_branch, bench_cpu);
+/// Instruction fetch, the simulator's own top line (`Cpu::ifetch` under
+/// `exec_block`): a block that stays L1I-resident, one whose five fetch
+/// phases overflow the 16 KB L1I, and one that thrashes it on every call
+/// (the transaction-begin path's size). One element is one fetched line, so
+/// host ns/line is 1e9 / the printed rate.
+fn bench_ifetch(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim/ifetch");
+    for (id, path_bytes) in [
+        ("resident_2800B", 2800u32),
+        ("partial_12KB", 12 << 10),
+        ("thrashing_190KB", 190_000),
+    ] {
+        let block = CodeBlock::builder("bench", path_bytes)
+            .private(segment::PRIVATE, 4096)
+            .at(segment::CODE);
+        let lines = block.lines(32) as u64;
+        let calls = (8192 / lines).max(1);
+        g.throughput(Throughput::Elements(lines * calls));
+        g.bench_function(id, |b| {
+            let mut cpu =
+                Cpu::new(CpuConfig::pentium_ii_xeon().with_interrupts(InterruptCfg::disabled()));
+            b.iter(|| {
+                for _ in 0..calls {
+                    cpu.exec_block(&block);
+                }
+                cpu.cycles()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_cache, bench_branch, bench_cpu, bench_ifetch);
 criterion_main!(benches);

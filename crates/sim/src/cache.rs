@@ -1,14 +1,16 @@
 //! Set-associative cache model with true LRU replacement.
 //!
-//! Used for the split L1 caches and the unified L2 (Table 4.1). The model is
-//! functional: it tracks which line addresses are resident and reports
-//! hit/miss plus any eviction (so an inclusive outer level can back-invalidate
-//! inner levels, the ablation of §5.2.2). Timing is charged by the caller.
+//! Used for the split L1 caches and the unified L2 (Table 4.1), and — over
+//! page numbers — for both TLBs. The model is functional: it tracks which
+//! line addresses are resident and reports hit/miss plus any eviction (so an
+//! inclusive outer level can back-invalidate inner levels, the ablation of
+//! §5.2.2). Timing is charged by the caller.
 //!
 //! # Accounting rules
 //!
 //! * A byte address maps to line `addr >> line_shift` and set
-//!   `line % sets`; whether two fields share a line is therefore decided
+//!   `line & (sets - 1)` (the set count is a power of two, checked at
+//!   construction); whether two fields share a line is therefore decided
 //!   purely by the addresses storage hands out — which is how the NSM/PAX
 //!   page-layout comparison works: PAX packs a column's values into
 //!   adjacent addresses so a narrow projection occupies fewer lines, and
@@ -16,12 +18,26 @@
 //! * Demand accesses count in `accesses`/`misses`; [`Cache::install`]
 //!   (prefetch fill) and [`Cache::probe`] count in neither, so miss *rates*
 //!   are demand-only, like the Pentium II counters the paper reads.
-//! * Misses allocate (write-allocate) and evict the true-LRU way; evicting
-//!   a dirty line counts one writeback (write-back policy, Table 4.1).
-//! * [`Cache::access_run`] is the contiguous-span fast lane used by
+//! * Misses allocate (write-allocate) into the first invalid way, else evict
+//!   the true-LRU way; evicting a dirty line counts one writeback
+//!   (write-back policy, Table 4.1).
+//! * [`Cache::access_run`] is the contiguous-span entry point used by
 //!   batched scans: residency, LRU state and statistics end up identical to
 //!   per-line [`Cache::access_line`] calls — a property-tested invariant —
 //!   only the per-call bookkeeping is amortized.
+//!
+//! # Storage
+//!
+//! This module is the simulator's own hot path, so its layout is chosen for
+//! the *host's* cache. Each set is one contiguous record — its `assoc` tags
+//! followed by one stamp per way — and records start on host cache-line
+//! boundaries, so at the paper's 4-way geometry a simulated access reads and
+//! writes exactly one 64-byte host line. A way's stamp is the value of a
+//! per-cache clock when the way was last used, with the dirty bit in bit 0:
+//! a hit is a tag scan plus one store, the LRU way is the valid way with the
+//! smallest stamp, and a touch rewrites no other way's state. Every demand
+//! entry point — single line, contiguous run, the instruction-fetch walk in
+//! [`crate::cpu::Cpu`] — goes through the one loop in `Cache::hit_run`.
 //!
 //! Stall *cycles* for misses are charged by the [`crate::cpu::Cpu`] into the
 //! [`crate::stalls::StallLedger`]; this module only decides hit or miss.
@@ -41,7 +57,19 @@ pub struct CacheAccess {
     pub dirty_writeback: bool,
 }
 
+const HIT: CacheAccess = CacheAccess {
+    hit: true,
+    evicted: None,
+    dirty_writeback: false,
+};
+
 const INVALID: u64 = u64::MAX;
+
+/// Bit 0 of a way's stamp: the line was written since it was filled.
+const DIRTY: u64 = 1;
+
+/// `u64` words per host cache line, the boundary set records start on.
+const HOST_LINE_WORDS: usize = 8;
 
 /// Aggregate outcome of a contiguous run of line accesses
 /// ([`Cache::access_run`]).
@@ -57,35 +85,79 @@ pub struct RunStats {
 
 /// One cache level.
 ///
-/// Lines are stored as a flat `Vec` of tags (`sets * assoc`); LRU state is an
-/// explicit per-line rank (0 = most recently used) which is exact for the
-/// small associativities used here (Table 4.1: 4-way).
-#[derive(Debug, Clone)]
+/// `words[origin..]` holds one record per set, `2 * assoc` words each: the
+/// set's tags (line addresses, `INVALID` when empty), then one stamp per
+/// way — `clock` at the way's last use, with `DIRTY` in bit 0. Stamps of
+/// valid ways are distinct, so ascending stamp order is LRU-to-MRU order; an
+/// empty way's stamp is never compared, because victim selection takes the
+/// first invalid way before it looks at a stamp. `origin` skips the few
+/// words it takes to put set 0 on a host cache-line boundary.
+#[derive(Debug)]
 pub struct Cache {
     geom: CacheGeom,
-    sets: u32,
     line_shift: u32,
-    tags: Vec<u64>,
-    dirty: Vec<bool>,
-    lru: Vec<u8>,
+    assoc: usize,
+    set_mask: u64,
+    words: Vec<u64>,
+    origin: usize,
+    /// Next stamp to hand out; advances by 2 so bit 0 stays free for `DIRTY`.
+    clock: u64,
     // statistics
     accesses: u64,
     misses: u64,
     writebacks: u64,
 }
 
+impl Clone for Cache {
+    /// Copies the records into a fresh allocation, which is aligned anew.
+    fn clone(&self) -> Self {
+        let mut copy = Cache::new(self.geom);
+        let n = self.words.len() - (HOST_LINE_WORDS - 1);
+        copy.words[copy.origin..][..n].copy_from_slice(&self.words[self.origin..][..n]);
+        copy.clock = self.clock;
+        copy.accesses = self.accesses;
+        copy.misses = self.misses;
+        copy.writebacks = self.writebacks;
+        copy
+    }
+}
+
 impl Cache {
     /// Creates an empty (cold) cache with the given geometry.
+    ///
+    /// # Panics
+    /// Panics, naming the geometry, if it is one the model cannot index:
+    /// zero associativity, a line size that is not a power of two, or a set
+    /// count (`size_bytes / (line_bytes * assoc)`) that is zero or not a
+    /// power of two.
     pub fn new(geom: CacheGeom) -> Self {
+        assert!(
+            geom.assoc > 0 && geom.line_bytes.is_power_of_two(),
+            "unmodellable cache geometry {geom:?}: \
+             assoc must be at least 1 and line_bytes a power of two"
+        );
         let sets = geom.sets();
-        let n = (sets * geom.assoc) as usize;
+        assert!(
+            sets.is_power_of_two(),
+            "unmodellable cache geometry {geom:?}: size_bytes / (line_bytes * assoc) \
+             gives {sets} sets, which must be a power of two and at least 1"
+        );
+        let assoc = geom.assoc as usize;
+        let words = vec![INVALID; sets as usize * 2 * assoc + HOST_LINE_WORDS - 1];
+        // `align_offset` may decline to answer; records are then merely
+        // unaligned, never out of bounds.
+        let origin = match words.as_ptr().align_offset(HOST_LINE_WORDS * 8) {
+            off if off < HOST_LINE_WORDS => off,
+            _ => 0,
+        };
         Cache {
             geom,
-            sets,
             line_shift: geom.line_shift(),
-            tags: vec![INVALID; n],
-            dirty: vec![false; n],
-            lru: (0..n).map(|i| (i as u32 % geom.assoc) as u8).collect(),
+            assoc,
+            set_mask: sets as u64 - 1,
+            words,
+            origin,
+            clock: 0,
             accesses: 0,
             misses: 0,
             writebacks: 0,
@@ -103,9 +175,10 @@ impl Cache {
         addr >> self.line_shift
     }
 
+    /// Index in `words` of the record of the set `line` maps to.
     #[inline]
-    fn set_of(&self, line: u64) -> u32 {
-        (line % self.sets as u64) as u32
+    fn record_of(&self, line: u64) -> usize {
+        self.origin + (line & self.set_mask) as usize * 2 * self.assoc
     }
 
     /// Accesses the line containing byte address `addr`.
@@ -119,78 +192,56 @@ impl Cache {
     }
 
     /// Same as [`Cache::access`] but takes a pre-computed line address.
+    #[inline]
     pub fn access_line(&mut self, line: u64, write: bool) -> CacheAccess {
-        self.accesses += 1;
-        let set = self.set_of(line);
-        let base = (set * self.geom.assoc) as usize;
-        if self.hit_way(base, line, write) {
-            return CacheAccess {
-                hit: true,
-                evicted: None,
-                dirty_writeback: false,
+        self.hit_run(line, line + 1, write)
+            .map_or(HIT, |(_, miss)| miss)
+    }
+
+    /// The one line-walking loop: demand-accesses the sequential lines
+    /// `first_line..end_line` for as long as they hit, re-stamping each (and
+    /// marking it dirty on a `write`). At the first miss the line is
+    /// allocated and returned with the outcome, so the caller can service
+    /// the miss — in whatever order its own accounting needs — before
+    /// resuming at `line + 1`; `None` means the rest of the run hit. Counts
+    /// one access per line consumed and one miss per `Some`.
+    #[inline]
+    pub(crate) fn hit_run(
+        &mut self,
+        first_line: u64,
+        end_line: u64,
+        write: bool,
+    ) -> Option<(u64, CacheAccess)> {
+        let assoc = self.assoc;
+        let mut line = first_line;
+        while line < end_line {
+            let stamp = self.clock | write as u64;
+            self.clock += 2;
+            let record = self.record_of(line);
+            let (tags, stamps) = self.words[record..][..2 * assoc].split_at_mut(assoc);
+            if let Some(way) = tags.iter().position(|&tag| tag == line) {
+                stamps[way] = stamp | (stamps[way] & DIRTY);
+                line += 1;
+                continue;
+            }
+            self.accesses += line + 1 - first_line;
+            self.misses += 1;
+            let (evicted, dirty_writeback) = fill(tags, stamps, line, stamp);
+            self.writebacks += dirty_writeback as u64;
+            let miss = CacheAccess {
+                hit: false,
+                evicted,
+                dirty_writeback,
             };
+            return Some((line, miss));
         }
-        self.misses += 1;
-        let (evicted, dirty_writeback) = self.allocate_victim(base, line, write);
-        CacheAccess {
-            hit: false,
-            evicted,
-            dirty_writeback,
-        }
+        self.accesses += line - first_line;
+        None
     }
 
-    /// Hit path shared by the per-line and run entry points: scans the set's
-    /// ways for `line`, updating dirty/LRU state on a hit.
-    #[inline]
-    fn hit_way(&mut self, base: usize, line: u64, write: bool) -> bool {
-        let assoc = self.geom.assoc as usize;
-        for w in 0..assoc {
-            if self.tags[base + w] == line {
-                if write {
-                    self.dirty[base + w] = true;
-                }
-                self.touch(base, w);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Miss path shared by the per-line and run entry points: LRU victim
-    /// selection (preferring invalid ways), writeback accounting and line
-    /// allocation. Returns `(evicted_line, dirty_writeback)`.
-    #[inline]
-    fn allocate_victim(&mut self, base: usize, line: u64, write: bool) -> (Option<u64>, bool) {
-        let assoc = self.geom.assoc as usize;
-        let mut victim = 0usize;
-        let mut victim_rank = 0u8;
-        for w in 0..assoc {
-            if self.tags[base + w] == INVALID {
-                victim = w;
-                break;
-            }
-            if self.lru[base + w] >= victim_rank {
-                victim = w;
-                victim_rank = self.lru[base + w];
-            }
-        }
-        let old = self.tags[base + victim];
-        let was_dirty = self.dirty[base + victim];
-        let evicted = (old != INVALID).then_some(old);
-        let dirty_writeback = evicted.is_some() && was_dirty;
-        if dirty_writeback {
-            self.writebacks += 1;
-        }
-        self.tags[base + victim] = line;
-        self.dirty[base + victim] = write;
-        self.touch(base, victim);
-        (evicted, dirty_writeback)
-    }
-
-    /// Contiguous-run fast path: accesses `lines` sequential line addresses
-    /// starting at `first_line`, resolving set indices incrementally instead
-    /// of re-deriving set/tag per byte address. Behaviour (residency, LRU
-    /// state, statistics, writeback counting) is identical to calling
+    /// Contiguous-run entry point: accesses `lines` sequential line
+    /// addresses starting at `first_line`. Behaviour (residency, LRU state,
+    /// statistics, writeback counting) is identical to calling
     /// [`Cache::access_line`] once per line; the saving is bookkeeping, not
     /// semantics. Missed lines are appended to `missed` in access order so
     /// an outer level can service them.
@@ -201,79 +252,70 @@ impl Cache {
         write: bool,
         missed: &mut Vec<u64>,
     ) -> RunStats {
-        self.accesses += lines;
+        let end_line = first_line + lines;
         let mut stats = RunStats::default();
-        let mut set = self.set_of(first_line);
-        for line in first_line..first_line + lines {
-            let base = (set * self.geom.assoc) as usize;
-            if self.hit_way(base, line, write) {
-                stats.hits += 1;
-            } else {
-                self.misses += 1;
-                stats.misses += 1;
-                missed.push(line);
-                let (_, dirty_writeback) = self.allocate_victim(base, line, write);
-                if dirty_writeback {
-                    stats.dirty_writebacks += 1;
-                }
-            }
-            set += 1;
-            if set == self.sets {
-                set = 0;
-            }
+        let mut next = first_line;
+        while let Some((line, miss)) = self.hit_run(next, end_line, write) {
+            missed.push(line);
+            stats.misses += 1;
+            stats.dirty_writebacks += miss.dirty_writeback as u64;
+            next = line + 1;
         }
+        stats.hits = lines - stats.misses;
         stats
     }
 
     /// Returns whether the line containing `addr` is resident, without
     /// updating LRU state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = self.line_of(addr);
-        let set = self.set_of(line);
-        let base = (set * self.geom.assoc) as usize;
-        self.tags[base..base + self.geom.assoc as usize].contains(&line)
+        self.probe_line(self.line_of(addr))
+    }
+
+    /// Same as [`Cache::probe`] but takes a pre-computed line address.
+    #[inline]
+    pub(crate) fn probe_line(&self, line: u64) -> bool {
+        self.words[self.record_of(line)..][..self.assoc].contains(&line)
     }
 
     /// Installs a line without counting an access or a miss (used for
     /// prefetches, which the hardware performs off the demand path).
     /// Returns the evicted line, if any.
     pub fn install(&mut self, addr: u64) -> Option<u64> {
-        let line = self.line_of(addr);
-        if self.probe(addr) {
-            return None;
+        self.install_line(self.line_of(addr)).evicted
+    }
+
+    /// Same as [`Cache::install`] but takes a pre-computed line address and
+    /// reports the whole outcome: `hit` means the line was already resident,
+    /// in which case nothing — not even its LRU position — changes.
+    pub(crate) fn install_line(&mut self, line: u64) -> CacheAccess {
+        let assoc = self.assoc;
+        let record = self.record_of(line);
+        let (tags, stamps) = self.words[record..][..2 * assoc].split_at_mut(assoc);
+        if tags.contains(&line) {
+            return HIT;
         }
-        let acc = self.access_line(line, false);
-        // Undo the demand-access accounting performed by `access_line`.
-        self.accesses -= 1;
-        self.misses -= 1;
-        acc.evicted
+        let (evicted, dirty_writeback) = fill(tags, stamps, line, self.clock);
+        self.clock += 2;
+        self.writebacks += dirty_writeback as u64;
+        CacheAccess {
+            hit: false,
+            evicted,
+            dirty_writeback,
+        }
     }
 
     /// Invalidates the line if resident (back-invalidation under inclusion).
     /// Returns true if a line was removed.
     pub fn invalidate_line(&mut self, line: u64) -> bool {
-        let set = self.set_of(line);
-        let base = (set * self.geom.assoc) as usize;
-        for w in 0..self.geom.assoc as usize {
-            if self.tags[base + w] == line {
-                self.tags[base + w] = INVALID;
-                self.dirty[base + w] = false;
-                return true;
+        let record = self.record_of(line);
+        let tags = &mut self.words[record..][..self.assoc];
+        match tags.iter().position(|&tag| tag == line) {
+            Some(way) => {
+                tags[way] = INVALID;
+                true
             }
+            None => false,
         }
-        false
-    }
-
-    #[inline]
-    fn touch(&mut self, base: usize, way: usize) {
-        let assoc = self.geom.assoc as usize;
-        let old_rank = self.lru[base + way];
-        for w in 0..assoc {
-            if self.lru[base + w] < old_rank {
-                self.lru[base + w] += 1;
-            }
-        }
-        self.lru[base + way] = 0;
     }
 
     /// Total accesses since construction (demand only).
@@ -309,6 +351,31 @@ impl Cache {
     }
 }
 
+/// Miss path of one set: puts `line` (stamped `stamp`) into the first invalid
+/// way, else over the way with the oldest stamp. Returns
+/// `(evicted_line, dirty_writeback)`.
+#[inline]
+fn fill(tags: &mut [u64], stamps: &mut [u64], line: u64, stamp: u64) -> (Option<u64>, bool) {
+    let mut victim = 0;
+    let mut oldest = u64::MAX;
+    for (way, (&tag, &used)) in tags.iter().zip(stamps.iter()).enumerate() {
+        if tag == INVALID {
+            victim = way;
+            break;
+        }
+        if used < oldest {
+            victim = way;
+            oldest = used;
+        }
+    }
+    let old = tags[victim];
+    let evicted = (old != INVALID).then_some(old);
+    let dirty_writeback = evicted.is_some() && stamps[victim] & DIRTY != 0;
+    tags[victim] = line;
+    stamps[victim] = stamp;
+    (evicted, dirty_writeback)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +387,25 @@ mod tests {
             line_bytes: 32,
             assoc: 2,
         })
+    }
+
+    /// Every set's resident lines with their dirty bits, most recent first.
+    fn contents(c: &Cache) -> Vec<Vec<(u64, bool)>> {
+        (0..=c.set_mask)
+            .map(|set| {
+                let (tags, stamps) = c.words[c.record_of(set)..][..2 * c.assoc].split_at(c.assoc);
+                let mut ways: Vec<(u64, u64)> = tags
+                    .iter()
+                    .zip(stamps)
+                    .filter(|(&tag, _)| tag != INVALID)
+                    .map(|(&tag, &stamp)| (stamp, tag))
+                    .collect();
+                ways.sort_unstable_by(|a, b| b.cmp(a));
+                ways.iter()
+                    .map(|&(stamp, tag)| (tag, stamp & DIRTY != 0))
+                    .collect()
+            })
+            .collect()
     }
 
     #[test]
@@ -422,9 +508,50 @@ mod tests {
         assert_eq!(run.accesses(), per_line.accesses());
         assert_eq!(run.misses(), per_line.misses());
         assert_eq!(run.writebacks(), per_line.writebacks());
-        assert_eq!(run.tags, per_line.tags);
-        assert_eq!(run.lru, per_line.lru);
-        assert_eq!(run.dirty, per_line.dirty);
+        assert_eq!(contents(&run), contents(&per_line));
+    }
+
+    #[test]
+    fn clone_keeps_contents_lru_order_and_stats() {
+        let mut c = small();
+        for (addr, write) in [(0x0, true), (0x80, false), (0x20, false), (0x0, false)] {
+            c.access(addr, write);
+        }
+        let mut copy = c.clone();
+        assert_eq!(contents(&copy), contents(&c));
+        assert_eq!((copy.accesses(), copy.misses()), (c.accesses(), c.misses()));
+        // Both evict the same (dirty, LRU) line next.
+        assert_eq!(copy.access(0x100, false), c.access(0x100, false));
+    }
+
+    #[test]
+    #[should_panic(expected = "gives 0 sets")]
+    fn geometry_smaller_than_one_set_is_rejected() {
+        Cache::new(CacheGeom {
+            size_bytes: 64,
+            line_bytes: 32,
+            assoc: 4,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "gives 3 sets")]
+    fn non_power_of_two_set_count_is_rejected() {
+        Cache::new(CacheGeom {
+            size_bytes: 3 * 64,
+            line_bytes: 32,
+            assoc: 2,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "assoc must be at least 1")]
+    fn zero_associativity_is_rejected() {
+        Cache::new(CacheGeom {
+            size_bytes: 256,
+            line_bytes: 32,
+            assoc: 0,
+        });
     }
 
     #[test]

@@ -190,7 +190,9 @@ impl CpuConfig {
     }
 
     /// Same processor with a different unified L2 capacity (ablation A2;
-    /// §5.2.1 notes L2 sizes were growing towards 2 MB/8 MB).
+    /// §5.2.1 notes L2 sizes were growing towards 2 MB/8 MB). The size must
+    /// leave a power-of-two set count; [`crate::Cpu::new`] rejects one that
+    /// does not.
     pub fn with_l2_size(mut self, size_bytes: u32) -> Self {
         self.l2.size_bytes = size_bytes;
         self

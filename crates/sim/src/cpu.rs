@@ -152,10 +152,17 @@ pub struct Cpu {
     prefetch_q: VecDeque<(u64, f64)>,
     prefetch_bus_free: f64,
     run_miss_buf: Vec<u64>,
+    /// Routes instruction fetch through the per-line reference walk.
+    #[cfg(test)]
+    per_line_ifetch: bool,
 }
 
 impl Cpu {
     /// Creates a cold processor with the given configuration.
+    ///
+    /// # Panics
+    /// Panics if the line sizes of the three caches differ, or if a cache or
+    /// TLB geometry is one the model cannot index ([`Cache::new`] names it).
     pub fn new(cfg: CpuConfig) -> Self {
         assert_eq!(
             cfg.l1i.line_bytes, cfg.l2.line_bytes,
@@ -194,6 +201,8 @@ impl Cpu {
             prefetch_q: VecDeque::with_capacity(8),
             prefetch_bus_free: 0.0,
             run_miss_buf: Vec::with_capacity(64),
+            #[cfg(test)]
+            per_line_ifetch: false,
             cfg,
         }
     }
@@ -292,9 +301,12 @@ impl Cpu {
         let r = &mut self.residue[self.mode as usize][event as usize];
         *r += amount;
         if *r >= 1.0 {
-            let whole = r.floor();
-            self.counters.bump(self.mode, event, whole as u64);
-            *r -= whole;
+            // The residue is never negative, so truncating is `floor`, and
+            // the trip through `u64` is exact; `f64::floor` itself is a
+            // library call on baseline x86-64, made on every charge.
+            let whole = *r as u64;
+            self.counters.bump(self.mode, event, whole);
+            *r -= whole as f64;
         }
     }
 
@@ -302,19 +314,97 @@ impl Cpu {
     // Instruction side
     // ------------------------------------------------------------------
 
+    /// Fetches the `bytes` of code at `base` as one run of lines.
+    ///
     /// `run_lines`: sequential fetch-run length in lines (taken-branch
     /// spacing); the stream prefetcher can only hide misses inside a run.
+    ///
+    /// Resident stretches are consumed by [`Cache::hit_run`]; each L1I miss
+    /// is serviced where it occurs, so everything a miss can change for the
+    /// lines after it — the stream-buffer fill of `line + 1`, an inclusive
+    /// L2's back-invalidations, a completed data prefetch landing in L2 —
+    /// is in place before the walk resumes. Cycle charges are made one per
+    /// miss, in fetch order: they are floating-point sums, and that order is
+    /// part of the simulated result. Integer event counts commute, so the
+    /// per-line and per-miss ones are added once per call.
     fn ifetch(&mut self, base: u64, bytes: u32, run_lines: u32) {
-        let bytes = bytes.max(1);
-        let pipe = self.cfg.pipe;
-        // ITLB lookup per 4 KB page the path touches.
-        let last = base + bytes as u64 - 1;
+        #[cfg(test)]
+        if self.per_line_ifetch {
+            return self.ifetch_per_line(base, bytes, run_lines);
+        }
+        let last = base + bytes.max(1) as u64 - 1;
+        self.itlb_walk(base, last);
+        let first_line = base >> self.line_shift;
+        let last_line = last >> self.line_shift;
+        self.bump(Event::IfuIfetch, last_line - first_line + 1);
+        // Xeon instruction stream prefetch: bring the next sequential line
+        // close to the fetch unit so straight-line code misses at most once
+        // per run (§3.2). A taken branch redirects the fetch stream and ends
+        // the run, so branch-dense code (interpreters) defeats the
+        // prefetcher — this couples T_L1I to branch behaviour (§5.3).
+        let stream = self.cfg.pipe.ifetch_stream_buffer && run_lines >= 2;
+        let mut misses = 0u64;
+        let mut next = first_line;
+        while let Some((line, _)) = self.l1i.hit_run(next, last_line + 1, false) {
+            next = line + 1;
+            misses += 1;
+            self.l2_ifetch_fill(line);
+            // `bytes` is a u32, so a position within the path fits one too.
+            if stream
+                && line < last_line
+                && !((line - first_line + 1) as u32).is_multiple_of(run_lines)
+                && self.l2.probe_line(next)
+                && !self.l1i.install_line(next).hit
+            {
+                self.bump(Event::SimStreamBufHit, 1);
+            }
+        }
+        if misses > 0 {
+            self.bump(Event::IfuIfetchMiss, misses);
+            self.bump(Event::L2Ifetch, misses);
+            self.bump(Event::L2Rqsts, misses);
+            self.bump(Event::L2Ads, misses);
+        }
+    }
+
+    /// ITLB lookup per 4 KB page of the path `base..=last`.
+    fn itlb_walk(&mut self, base: u64, last: u64) {
         for page in (base >> 12)..=(last >> 12) {
             if !self.itlb.access(page << 12) {
                 self.bump(Event::ItlbMiss, 1);
-                self.charge_ifu(Component::Titlb, pipe.itlb_miss_penalty as f64);
+                self.charge_ifu(Component::Titlb, self.cfg.pipe.itlb_miss_penalty as f64);
             }
         }
+    }
+
+    /// Services an L1I-missed line from L2/memory, charging the fetch stall.
+    /// The request counters every miss bumps (`IFU_IFETCH_MISS`, `L2_IFETCH`,
+    /// `L2_RQSTS`, `L2_ADS`) are the caller's.
+    fn l2_ifetch_fill(&mut self, line: u64) {
+        let pipe = self.cfg.pipe;
+        self.pop_completed_prefetches();
+        let l2acc = self.l2.access_line(line, false);
+        if l2acc.hit {
+            self.charge_ifu(Component::Tl1i, pipe.l1_miss_penalty as f64);
+            return;
+        }
+        self.charge_ifu(Component::Tl2i, pipe.mem_latency as f64);
+        self.bump(Event::SimL2IfetchMiss, 1);
+        self.bump(Event::L2LinesIn, 1);
+        self.bump(Event::BusTranIfetch, 1);
+        self.bump(Event::BusTranMem, 1);
+        self.bump(Event::BusTranAny, 1);
+        self.bump(Event::BusTranBurst, 1);
+        self.handle_l2_eviction(l2acc.evicted, l2acc.dirty_writeback);
+    }
+
+    /// The line-at-a-time walk that [`Cpu::ifetch`] replaced, kept as the
+    /// reference the differential test holds it to: every line through the
+    /// public single-line [`Cache`] calls, every counter bumped per line.
+    #[cfg(test)]
+    fn ifetch_per_line(&mut self, base: u64, bytes: u32, run_lines: u32) {
+        let last = base + bytes.max(1) as u64 - 1;
+        self.itlb_walk(base, last);
         let first_line = base >> self.line_shift;
         let last_line = last >> self.line_shift;
         for line in first_line..=last_line {
@@ -323,30 +413,11 @@ impl Cpu {
                 continue;
             }
             self.bump(Event::IfuIfetchMiss, 1);
-            self.pop_completed_prefetches();
             self.bump(Event::L2Ifetch, 1);
             self.bump(Event::L2Rqsts, 1);
             self.bump(Event::L2Ads, 1);
-            let l2acc = self.l2.access_line(line, false);
-            if l2acc.hit {
-                self.charge_ifu(Component::Tl1i, pipe.l1_miss_penalty as f64);
-            } else {
-                self.charge_ifu(Component::Tl2i, pipe.mem_latency as f64);
-                self.bump(Event::SimL2IfetchMiss, 1);
-                self.bump(Event::L2LinesIn, 1);
-                self.bump(Event::BusTranIfetch, 1);
-                self.bump(Event::BusTranMem, 1);
-                self.bump(Event::BusTranAny, 1);
-                self.bump(Event::BusTranBurst, 1);
-                self.handle_l2_eviction(l2acc.evicted, l2acc.dirty_writeback);
-            }
-            // Xeon instruction stream prefetch: bring the next sequential
-            // line close to the fetch unit so straight-line code misses at
-            // most once per run (§3.2). A taken branch redirects the fetch
-            // stream and ends the run, so branch-dense code (interpreters)
-            // defeats the prefetcher — this couples T_L1I to branch
-            // behaviour (§5.3).
-            if pipe.ifetch_stream_buffer
+            self.l2_ifetch_fill(line);
+            if self.cfg.pipe.ifetch_stream_buffer
                 && run_lines >= 2
                 && line < last_line
                 && !(line - first_line + 1).is_multiple_of(run_lines as u64)
@@ -581,7 +652,7 @@ impl Cpu {
                 break;
             }
             self.prefetch_q.pop_front();
-            let evicted = self.l2.install(line << self.line_shift);
+            let evicted = self.l2.install_line(line).evicted;
             // Prefetch fills are bus transactions but not demand-allocated
             // lines: L2_LINES_IN keeps its demand-miss semantics, so the
             // Table 4.2 formulae see prefetch-hidden lines as L2 hits —
@@ -838,6 +909,94 @@ mod tests {
         assert_send_sync::<CpuConfig>();
         assert_send_sync::<Snapshot>();
         assert_send_sync::<CodeBlock>();
+    }
+
+    /// The hit-run `ifetch` against the per-line walk it replaced: after
+    /// every step of a random mix of block executions (64 B to 200 KB, at
+    /// overlapping bases, with fetch runs from none to the whole path) and
+    /// data traffic, both processors must show the same counters, ledger and
+    /// cycle clock — exact `f64` equality — and the same L1I/L2 statistics.
+    #[test]
+    fn ifetch_matches_the_per_line_reference_walk() {
+        const SIZES: [u32; 8] = [
+            64,
+            300,
+            2800,
+            12 << 10,
+            48 << 10,
+            100_000,
+            190_000,
+            200 << 10,
+        ];
+        const DYN_BRANCHES: [u16; 5] = [0, 1, 4, 25, 400];
+        let interrupts_on = InterruptCfg {
+            period_cycles: 9_000,
+            kernel_code_bytes: 12 * 1024,
+            kernel_data_bytes: 2048,
+        };
+        for corner in 0..8u32 {
+            let (stream, inclusive, interrupts) =
+                (corner & 1 != 0, corner & 2 != 0, corner & 4 != 0);
+            let mut cfg = CpuConfig::pentium_ii_xeon()
+                .with_inclusive_l2(inclusive)
+                .with_interrupts(if interrupts {
+                    interrupts_on
+                } else {
+                    InterruptCfg::disabled()
+                });
+            cfg.pipe.ifetch_stream_buffer = stream;
+            if inclusive {
+                // Small enough that code and data keep evicting each other.
+                cfg = cfg.with_l2_size(128 * 1024);
+            }
+            let mut rng =
+                proptest::TestRng::from_name("ifetch_matches_the_per_line_reference_walk");
+            let mut pick = |n: u64| rng.next_u64() % n;
+            let blocks: Vec<CodeBlock> = (0..24)
+                .map(|_| {
+                    let bytes = SIZES[pick(8) as usize];
+                    CodeBlock::builder("t", bytes)
+                        .private(segment::PRIVATE, 2048)
+                        .branches(3, DYN_BRANCHES[pick(5) as usize])
+                        .at(segment::CODE + pick(64) * 1000)
+                })
+                .collect();
+            // Blocks carry their rotation state: one set per processor.
+            let reference_blocks = blocks.clone();
+            let mut cpu = Cpu::new(cfg.clone());
+            let mut reference = Cpu::new(cfg);
+            reference.per_line_ifetch = true;
+            for step in 0..300 {
+                let (op, which, addr, len) = (
+                    pick(8),
+                    pick(24) as usize,
+                    segment::HEAP + pick(1 << 20),
+                    1 + pick(200) as u32,
+                );
+                for (cpu, blocks) in [(&mut cpu, &blocks), (&mut reference, &reference_blocks)] {
+                    match op {
+                        0..=3 => cpu.exec_block(&blocks[which]),
+                        4 => cpu.exec_block_scaled(&blocks[which], len % 5),
+                        5 => cpu.load(addr, len, MemDep::Demand),
+                        6 => cpu.store(addr, len, MemDep::Chase),
+                        _ => cpu.prefetch_data(addr),
+                    }
+                }
+                let at = format!("corner {corner}, step {step}, op {op}");
+                assert_eq!(cpu.snapshot(), reference.snapshot(), "{at}");
+                for (got, want) in [(cpu.l1i(), reference.l1i()), (cpu.l2(), reference.l2())] {
+                    assert_eq!(
+                        (got.accesses(), got.misses(), got.writebacks()),
+                        (want.accesses(), want.misses(), want.writebacks()),
+                        "{at}"
+                    );
+                }
+            }
+            assert!(cpu.l1i().misses() > 10_000, "corner {corner} barely missed");
+            if stream {
+                assert!(cpu.counters().total(Event::SimStreamBufHit) > 0);
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,10 @@ pub struct Tlb {
 
 impl Tlb {
     /// Creates an empty TLB.
+    ///
+    /// # Panics
+    /// Panics if `entries / assoc` is not a power of two or `assoc` is zero
+    /// (the geometry check of [`Cache::new`]).
     pub fn new(geom: TlbGeom) -> Self {
         // Reuse the cache model: one "line" per page translation. The page
         // shift is applied here, so configure the inner cache with

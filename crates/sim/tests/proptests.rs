@@ -2,8 +2,8 @@
 
 use proptest::prelude::*;
 use wdtg_sim::{
-    segment, BranchSite, BranchUnit, BtbGeom, Cache, CacheGeom, CodeBlock, Cpu, CpuConfig,
-    InterruptCfg, MemDep,
+    segment, BranchSite, BranchUnit, BtbGeom, Cache, CacheAccess, CacheGeom, CodeBlock, Cpu,
+    CpuConfig, InterruptCfg, MemDep,
 };
 
 /// Reference model: fully associative LRU over the same trace, used to check
@@ -24,6 +24,84 @@ fn reference_lru_misses(trace: &[u64], capacity: usize, line_bytes: u64) -> u64 
         stack.insert(0, line);
     }
     misses
+}
+
+/// Oracle for [`Cache`], deliberately naive and sharing nothing with it: each
+/// set is a `Vec` of `(line, dirty)` kept most-recent-first by removing and
+/// re-inserting at the front.
+struct NaiveCache {
+    sets: Vec<Vec<(u64, bool)>>,
+    assoc: usize,
+    accesses: u64,
+    misses: u64,
+    writebacks: u64,
+}
+
+impl NaiveCache {
+    fn new(sets: usize, assoc: usize) -> Self {
+        NaiveCache {
+            sets: vec![Vec::new(); sets],
+            assoc,
+            accesses: 0,
+            misses: 0,
+            writebacks: 0,
+        }
+    }
+
+    fn set(&mut self, line: u64) -> &mut Vec<(u64, bool)> {
+        let n = self.sets.len() as u64;
+        &mut self.sets[(line % n) as usize]
+    }
+
+    /// Puts `line` in front of its set; a full set first drops its last
+    /// (least recently used) entry, which is the reported eviction.
+    fn fill(&mut self, line: u64, dirty: bool) -> CacheAccess {
+        let assoc = self.assoc;
+        let set = self.set(line);
+        let victim = if set.len() == assoc { set.pop() } else { None };
+        set.insert(0, (line, dirty));
+        let dirty_writeback = victim.is_some_and(|(_, dirty)| dirty);
+        self.writebacks += dirty_writeback as u64;
+        CacheAccess {
+            hit: false,
+            evicted: victim.map(|(line, _)| line),
+            dirty_writeback,
+        }
+    }
+
+    fn access(&mut self, line: u64, write: bool) -> CacheAccess {
+        self.accesses += 1;
+        let set = self.set(line);
+        if let Some(pos) = set.iter().position(|&(l, _)| l == line) {
+            let (_, dirty) = set.remove(pos);
+            set.insert(0, (line, dirty || write));
+            return CacheAccess {
+                hit: true,
+                evicted: None,
+                dirty_writeback: false,
+            };
+        }
+        self.misses += 1;
+        self.fill(line, write)
+    }
+
+    fn probe(&mut self, line: u64) -> bool {
+        self.set(line).iter().any(|&(l, _)| l == line)
+    }
+
+    fn install(&mut self, line: u64) -> Option<u64> {
+        if self.probe(line) {
+            return None;
+        }
+        self.fill(line, false).evicted
+    }
+
+    fn invalidate(&mut self, line: u64) -> bool {
+        let set = self.set(line);
+        let before = set.len();
+        set.retain(|&(l, _)| l != line);
+        set.len() < before
+    }
 }
 
 proptest! {
@@ -107,34 +185,56 @@ proptest! {
         prop_assert!((split - cpu.cycles()).abs() < 1e-6);
     }
 
-    /// The contiguous-run cache fast path is observationally identical to
-    /// per-line accesses for arbitrary interleavings of runs.
+    /// `Cache` against [`NaiveCache`] over random interleavings of every
+    /// entry point — reads, writes, probes, prefetch installs,
+    /// back-invalidations and contiguous runs — at associativities 1, 2, 4
+    /// and 8: each call's outcome and the running statistics must agree, and
+    /// so must the final contents.
     #[test]
     fn cache_run_fast_path_matches_per_line(
-        spans in proptest::collection::vec((0u64..4096, 1u64..200, any::<bool>()), 1..100)
+        assoc_log2 in 0u32..4,
+        ops in proptest::collection::vec((0u8..7, 0u64..400, 1u64..40, any::<bool>()), 1..400)
     ) {
-        let geom = CacheGeom { size_bytes: 16 * 1024, line_bytes: 32, assoc: 4 };
-        let mut per_line = Cache::new(geom);
-        let mut run = Cache::new(geom);
+        const SETS: u32 = 16;
+        let assoc = 1u32 << assoc_log2;
+        let mut cache = Cache::new(CacheGeom { size_bytes: SETS * 32 * assoc, line_bytes: 32, assoc });
+        let mut model = NaiveCache::new(SETS as usize, assoc as usize);
         let mut missed = Vec::new();
-        for &(first, lines, write) in &spans {
-            let mut want_missed = Vec::new();
-            for line in first..first + lines {
-                if !per_line.access_line(line, write).hit {
-                    want_missed.push(line);
+        for &(op, line, len, write) in &ops {
+            // Confine lines to a few times the capacity so sets conflict.
+            let line = line % (3 * (SETS * assoc) as u64);
+            match op {
+                0 | 1 => prop_assert_eq!(cache.access(line * 32 + 7, write), model.access(line, write)),
+                2 => prop_assert_eq!(cache.probe(line * 32), model.probe(line)),
+                3 => prop_assert_eq!(cache.install(line * 32), model.install(line)),
+                4 => prop_assert_eq!(cache.invalidate_line(line), model.invalidate(line)),
+                5 => prop_assert_eq!(cache.access_line(line, write), model.access(line, write)),
+                _ => {
+                    missed.clear();
+                    let stats = cache.access_run(line, len, write, &mut missed);
+                    let mut want_missed = Vec::new();
+                    let mut want_writebacks = 0;
+                    for l in line..line + len {
+                        let acc = model.access(l, write);
+                        if !acc.hit {
+                            want_missed.push(l);
+                        }
+                        want_writebacks += acc.dirty_writeback as u64;
+                    }
+                    prop_assert_eq!(&missed, &want_missed);
+                    prop_assert_eq!(
+                        (stats.hits, stats.misses, stats.dirty_writebacks),
+                        (len - want_missed.len() as u64, want_missed.len() as u64, want_writebacks)
+                    );
                 }
             }
-            missed.clear();
-            let stats = run.access_run(first, lines, write, &mut missed);
-            prop_assert_eq!(&missed, &want_missed);
-            prop_assert_eq!(stats.misses, want_missed.len() as u64);
-            prop_assert_eq!(run.misses(), per_line.misses());
-            prop_assert_eq!(run.accesses(), per_line.accesses());
-            prop_assert_eq!(run.writebacks(), per_line.writebacks());
+            prop_assert_eq!(
+                (cache.accesses(), cache.misses(), cache.writebacks()),
+                (model.accesses, model.misses, model.writebacks)
+            );
         }
-        // Final residency agrees for a sample of lines.
-        for line in 0..4096u64 {
-            prop_assert_eq!(run.probe(line * 32), per_line.probe(line * 32));
+        for line in 0..3 * (SETS * assoc) as u64 {
+            prop_assert_eq!(cache.probe(line * 32), model.probe(line));
         }
     }
 

@@ -8,6 +8,29 @@
 //! change. Tests use [`Scale::tiny`]; figure binaries default to
 //! [`Scale::dev`] and accept `WDTG_SCALE=paper` for full size.
 
+/// Picks among a workload's `[paper, dev, tiny]` sizes by `WDTG_SCALE` value
+/// (`None`: the variable is unset, which means dev). The one resolver behind
+/// every `from_name` in this crate, so no suite can fall back silently.
+pub(crate) fn resolve_scale_name<T>(name: Option<&str>, sizes: [T; 3]) -> Result<T, String> {
+    let [paper, dev, tiny] = sizes;
+    match name {
+        None | Some("dev") => Ok(dev),
+        Some("paper") => Ok(paper),
+        Some("tiny") => Ok(tiny),
+        Some(other) => Err(format!(
+            "unrecognized WDTG_SCALE value {other:?}: expected one of \
+             \"paper\", \"dev\", \"tiny\" (or unset for dev)"
+        )),
+    }
+}
+
+/// Applies a `from_name` to the `WDTG_SCALE` environment variable, panicking
+/// with its error on an unrecognized value.
+pub(crate) fn scale_from_env<T>(from_name: fn(Option<&str>) -> Result<T, String>) -> T {
+    let var = std::env::var("WDTG_SCALE").ok();
+    from_name(var.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Dataset sizing for the microbenchmark suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
@@ -49,13 +72,21 @@ impl Scale {
         }
     }
 
-    /// Reads `WDTG_SCALE` (`paper`, `dev`, `tiny`; default `dev`).
+    /// Resolves a scale name: `None` (variable unset) means [`Scale::dev`];
+    /// `"paper"`, `"dev"` and `"tiny"` name their scales; anything else is an
+    /// error naming the value and the three choices, never a silent `dev` —
+    /// `WDTG_SCALE=papr` must not publish dev-scale numbers as the
+    /// paper-scale capture.
+    pub fn from_name(name: Option<&str>) -> Result<Scale, String> {
+        resolve_scale_name(name, [Scale::paper(), Scale::dev(), Scale::tiny()])
+    }
+
+    /// Reads `WDTG_SCALE` (`paper`/`dev`/`tiny`; unset means `dev`).
+    ///
+    /// # Panics
+    /// Panics on an unrecognized value — see [`Scale::from_name`].
     pub fn from_env() -> Scale {
-        match std::env::var("WDTG_SCALE").as_deref() {
-            Ok("paper") => Scale::paper(),
-            Ok("tiny") => Scale::tiny(),
-            _ => Scale::dev(),
-        }
+        scale_from_env(Scale::from_name)
     }
 
     /// Same scale with a different record size (the §5.2 record-size sweep).
@@ -120,6 +151,25 @@ mod tests {
         assert_eq!(s.a2_domain(), 40_000);
         // ~30 R rows per S row.
         assert_eq!(s.r_records / s.s_records, 30);
+    }
+
+    #[test]
+    fn scale_names_resolve_and_typos_are_refused() {
+        assert_eq!(Scale::from_name(None), Ok(Scale::dev()));
+        assert_eq!(Scale::from_name(Some("paper")), Ok(Scale::paper()));
+        assert_eq!(Scale::from_name(Some("dev")), Ok(Scale::dev()));
+        assert_eq!(Scale::from_name(Some("tiny")), Ok(Scale::tiny()));
+        // The regression case: a typo must not silently become dev.
+        let err = Scale::from_name(Some("papr")).unwrap_err();
+        for needle in ["papr", "paper", "dev", "tiny"] {
+            assert!(err.contains(needle), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "unrecognized WDTG_SCALE value \"huge\"")]
+    fn env_path_panics_with_the_resolver_error() {
+        scale_from_env(|_| Scale::from_name(Some("huge")));
     }
 
     #[test]

@@ -12,6 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wdtg_memdb::{Database, DbResult, Query, Schema};
 
+use crate::scale::{resolve_scale_name, scale_from_env};
+
 /// Scale knobs for the OLTP database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpccScale {
@@ -54,16 +56,10 @@ impl TpccScale {
     /// typo like `WDTG_SCALE=papr` used to run the dev scale and publish its
     /// numbers as paper-scale results.
     pub fn from_name(name: Option<&str>) -> Result<TpccScale, String> {
-        match name {
-            None => Ok(TpccScale::dev()),
-            Some("paper") => Ok(TpccScale::paper()),
-            Some("dev") => Ok(TpccScale::dev()),
-            Some("tiny") => Ok(TpccScale::tiny()),
-            Some(other) => Err(format!(
-                "unrecognized WDTG_SCALE value {other:?}: expected one of \
-                 \"paper\", \"dev\", \"tiny\" (or unset for dev)"
-            )),
-        }
+        resolve_scale_name(
+            name,
+            [TpccScale::paper(), TpccScale::dev(), TpccScale::tiny()],
+        )
     }
 
     /// Reads `WDTG_SCALE` (`paper`/`dev`/`tiny`; unset means `dev`).
@@ -72,11 +68,7 @@ impl TpccScale {
     /// Panics on an unrecognized value instead of silently falling back to
     /// `dev` — see [`TpccScale::from_name`].
     pub fn from_env() -> TpccScale {
-        let var = std::env::var("WDTG_SCALE").ok();
-        match TpccScale::from_name(var.as_deref()) {
-            Ok(s) => s,
-            Err(e) => panic!("{e}"),
-        }
+        scale_from_env(TpccScale::from_name)
     }
 
     fn customers(&self) -> u64 {

@@ -12,6 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wdtg_memdb::{AggKind, AggSpec, Database, DbResult, Expr, Query, QueryPredicate, Schema};
 
+use crate::scale::{resolve_scale_name, scale_from_env};
+
 /// Scale of the DSS database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TpcdScale {
@@ -46,13 +48,18 @@ impl TpcdScale {
         }
     }
 
-    /// Reads `WDTG_SCALE` like [`crate::Scale::from_env`].
+    /// Resolves a scale name like [`crate::Scale::from_name`].
+    pub fn from_name(name: Option<&str>) -> Result<TpcdScale, String> {
+        resolve_scale_name(
+            name,
+            [TpcdScale::paper(), TpcdScale::dev(), TpcdScale::tiny()],
+        )
+    }
+
+    /// Reads `WDTG_SCALE` like [`crate::Scale::from_env`], panicking on an
+    /// unrecognized value.
     pub fn from_env() -> TpcdScale {
-        match std::env::var("WDTG_SCALE").as_deref() {
-            Ok("paper") => TpcdScale::paper(),
-            Ok("tiny") => TpcdScale::tiny(),
-            _ => TpcdScale::dev(),
-        }
+        scale_from_env(TpcdScale::from_name)
     }
 }
 

@@ -1,0 +1,109 @@
+//! Exact simulated goldens: the microbenchmark grid's counters, pinned to
+//! the last bit.
+//!
+//! The simulator is deterministic, so these are not tolerances but
+//! equalities: cycles by `f64::to_bits`, the rest as integer counts, for
+//! Systems A–D × {SRS, IRS, SJ} in row mode and System C in batch mode at
+//! `Scale::tiny`, on the paper's processor (timer interrupts on). Each cell
+//! is one warm-up run followed by one measured run; the measured run's
+//! `Snapshot` delta over both modes is what is pinned.
+//!
+//! **A golden may change only in a commit that says, in one sentence, why
+//! the model's answer moved.** A host-side optimisation of the simulator or
+//! the engine must leave every value here untouched; that is what this file
+//! guards. On a mismatch the failure message prints the whole table as
+//! measured, ready to paste, so a deliberate model change is cheap to
+//! re-capture — and an accidental one is loud.
+
+use wdtg_core::methodology::build_db;
+use wdtg_memdb::{ExecMode, SystemId};
+use wdtg_sim::{CpuConfig, Event};
+use wdtg_workloads::{micro, MicroQuery, Scale};
+
+/// `(system, query, mode, cycles.to_bits(), INST_RETIRED, L1I misses,
+/// L2 data misses, branch mispredictions)`.
+type Golden = (SystemId, MicroQuery, ExecMode, u64, u64, u64, u64, u64);
+
+use ExecMode::{Batch, Row};
+use MicroQuery::{
+    IndexedRangeSelection as IRS, SequentialJoin as SJ, SequentialRangeSelection as SRS,
+};
+use SystemId::{A, B, C, D};
+
+#[rustfmt::skip]
+const GOLDENS: [Golden; 15] = [
+    (A, SRS, Row, 0x4167c1746d1af016, 11044592, 45167, 13780, 40783), // 12454819.4 cycles
+    (A, IRS, Row, 0x4167c1746d1af016, 11044592, 45167, 13780, 40783), // 12454819.4 cycles
+    (A, SJ, Row, 0x4179475d1c872999, 22581883, 106747, 14621, 109984), // 26506705.8 cycles
+    (B, SRS, Row, 0x4188251812a077a0, 50417123, 704280, 3331, 313592), // 50635522.3 cycles
+    (B, IRS, Row, 0x4160cf3805cd7b58, 7260692, 225768, 1313, 88594), // 8812992.2 cycles
+    (B, SJ, Row, 0x4196a78431e30da8, 76339928, 3054919, 4012, 981368), // 95019276.5 cycles
+    (C, SRS, Row, 0x41906fd64a4892fa, 61194246, 575986, 38000, 512120), // 68941202.6 cycles
+    (C, IRS, Row, 0x41636d05af2843d7, 7930818, 281293, 1330, 85017), // 10184749.5 cycles
+    (C, SJ, Row, 0x4195b55340a4880a, 73319841, 1546909, 39803, 855461), // 91051216.2 cycles
+    (D, SRS, Row, 0x4194bfbf1da64177, 78552971, 1002820, 38017, 589262), // 87027655.4 cycles
+    (D, IRS, Row, 0x416a006b4ce77f91, 10295115, 523743, 1320, 104644), // 13632346.4 cycles
+    (D, SJ, Row, 0x419d5a0a38c04ef9, 95467012, 4035271, 41288, 984068), // 123110030.2 cycles
+    (C, SRS, Batch, 0x41666a68ecb6f562, 11836388, 24996, 38259, 19356), // 11752263.4 cycles
+    (C, IRS, Batch, 0x4129c2fd50da741a, 778681, 3264, 1361, 1941), // 844158.7 cycles
+    (C, SJ, Batch, 0x4169a66a1dc5f89a, 12185633, 26121, 40038, 16943), // 13448016.9 cycles
+];
+
+fn measure(system: SystemId, query: MicroQuery, mode: ExecMode) -> Golden {
+    let scale = Scale::tiny();
+    let mut db = build_db(system, scale, query, &CpuConfig::pentium_ii_xeon()).expect("build");
+    db.set_exec_mode(mode);
+    let q = micro::query(scale, query, 0.1);
+    db.run(&q).expect("warm-up run");
+    let before = db.cpu().snapshot();
+    db.run(&q).expect("measured run");
+    let d = db.cpu().snapshot().delta(&before);
+    (
+        system,
+        query,
+        mode,
+        d.cycles.to_bits(),
+        d.counters.total(Event::InstRetired),
+        d.counters.total(Event::IfuIfetchMiss),
+        d.counters.total(Event::SimL2DataMiss),
+        d.counters.total(Event::BrMissPredRetired),
+    )
+}
+
+fn render(rows: &[Golden]) -> String {
+    let q = |q: MicroQuery| match q {
+        SRS => "SRS",
+        IRS => "IRS",
+        SJ => "SJ",
+    };
+    rows.iter()
+        .map(|&(s, query, m, cyc, instr, l1i, l2d, br)| {
+            format!(
+                "    ({s:?}, {}, {m:?}, {cyc:#018x}, {instr}, {l1i}, {l2d}, {br}), // {:.1} cycles\n",
+                q(query),
+                f64::from_bits(cyc)
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn microbenchmark_grid_counters_are_bit_exact() {
+    // One thread per cell: each owns its database and processor.
+    let measured: Vec<Golden> = std::thread::scope(|s| {
+        let cells: Vec<_> = GOLDENS
+            .iter()
+            .map(|&(system, query, mode, ..)| s.spawn(move || measure(system, query, mode)))
+            .collect();
+        cells
+            .into_iter()
+            .map(|cell| cell.join().expect("cell measures"))
+            .collect()
+    });
+    assert!(
+        measured == GOLDENS,
+        "simulated counters moved. If the model changed on purpose, say why in the commit and \
+         replace GOLDENS with:\n{}",
+        render(&measured)
+    );
+}
