@@ -3,7 +3,8 @@
 //! One binary per table/figure of the paper (run with
 //! `cargo run --release -p wdtg-bench --bin <name>`; set `WDTG_SCALE=paper`
 //! for full-size datasets) plus Criterion micro/macro benchmarks
-//! (`cargo bench`). See DESIGN.md §4 for the experiment index.
+//! (`cargo bench`). `src/bin/` is the experiment index: each file is named
+//! after the table or figure it regenerates.
 
 #![warn(missing_docs)]
 

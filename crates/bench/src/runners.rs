@@ -1394,7 +1394,7 @@ pub const OLTP_TXNS_PER_CLIENT: usize = 40;
 /// hosts); `host_tps` is recorded for information only.
 #[derive(Debug, Clone)]
 pub struct OltpBenchReport {
-    /// The run configuration (scale from `WDTG_SCALE`).
+    /// The run configuration (always dev scale).
     pub cfg: OltpConfig,
     /// The measured run.
     pub report: OltpReport,
@@ -1446,11 +1446,13 @@ impl OltpBenchReport {
 }
 
 /// Runs the concurrent OLTP benchmark: [`OLTP_CLIENTS`] clients over
-/// [`OLTP_NODES`] System C node replicas at the `WDTG_SCALE` data scale,
-/// with the oracle and WAL-recovery checks armed.
+/// [`OLTP_NODES`] System C node replicas, with the oracle and WAL-recovery
+/// checks armed. Always at dev scale — the scale the committed
+/// `BENCH_oltp.json` was captured at — so the gated baseline's identity
+/// never depends on the environment.
 pub fn run_oltp_report() -> OltpBenchReport {
     let cfg = OltpConfig {
-        scale: TpccScale::from_env(),
+        scale: TpccScale::dev(),
         clients: OLTP_CLIENTS,
         txns_per_client: OLTP_TXNS_PER_CLIENT,
         nodes: OLTP_NODES,

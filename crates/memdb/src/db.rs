@@ -1,6 +1,7 @@
 //! The database facade: catalog, storage, instrumented execution context and
 //! the query planner/runner.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wdtg_sim::{segment, BranchSite, CodeBlock, Cpu, CpuConfig, MemDep};
@@ -10,7 +11,7 @@ use crate::buffer::BufferPool;
 use crate::error::{DbError, DbResult};
 use crate::exec::agg::AggExec;
 use crate::exec::filter::{Filter, PredicateExec, SelectionMode};
-use crate::exec::indexscan::{descend_to_leaf, IndexRangeScan, LeafCursor};
+use crate::exec::indexscan::{descend_to_leaf, IndexRangeScan};
 use crate::exec::join_hash::HashJoin;
 use crate::exec::join_nl::IndexNlJoin;
 use crate::exec::join_partitioned::PartitionedHashJoin;
@@ -21,7 +22,7 @@ use crate::fault::{CancelToken, FaultInjector, FaultPlan, FaultSite, ResourceBud
 use crate::heap::{HeapFile, PageLayout, Rid, HDR_NRECS, HDR_PAGEID};
 use crate::index::btree::BTree;
 use crate::profiles::{EngineProfile, EvalMode, JoinAlgo};
-use crate::query::{AggKind, Query, QueryPredicate, QueryResult};
+use crate::query::{AggKind, AggSpec, Query, QueryPredicate, QueryResult};
 use crate::schema::Schema;
 use crate::shard::{shard_of, ShardedDatabase};
 use crate::txn::TxnState;
@@ -336,6 +337,14 @@ pub struct Database {
     pub(crate) exec_mode: ExecMode,
     page_layout: PageLayout,
     selection_mode: SelectionMode,
+    /// Bumped by every bulk change to what a physical plan was costed
+    /// against — [`Database::create_table_with_layout`],
+    /// [`Database::load_rows`], [`Database::create_index`] — so a
+    /// [`crate::sql::Session`] can tell its cached plans are stale. Not
+    /// bumped by single-row [`Database::insert_row`]: one row moves no
+    /// crossover, and an OLTP session's cached plans must survive its own
+    /// `INSERT`s. Pure host-side bookkeeping: zero simulated cycles.
+    pub(crate) catalog_epoch: u64,
     /// MVCC version chains, open transactions and the write-ahead log
     /// (see [`crate::txn`]).
     pub(crate) txn: TxnState,
@@ -356,6 +365,7 @@ impl Database {
             exec_mode: ExecMode::Row,
             page_layout: PageLayout::Nsm,
             selection_mode: SelectionMode::Branching,
+            catalog_epoch: 0,
             txn: TxnState::default(),
         }
     }
@@ -369,11 +379,6 @@ impl Database {
     /// The engine profile in use.
     pub fn profile(&self) -> &EngineProfile {
         &self.profile
-    }
-
-    /// The execution mode queries run under.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec_mode
     }
 
     /// Selects row-at-a-time or vectorized execution for subsequent queries.
@@ -404,11 +409,6 @@ impl Database {
         self
     }
 
-    /// How filters qualify rows (branching vs predicated).
-    pub fn selection_mode(&self) -> SelectionMode {
-        self.selection_mode
-    }
-
     /// Selects branching or predicated (branch-free) row qualification for
     /// subsequent queries — the knob that attacks the T_B term, orthogonal
     /// to [`Database::set_exec_mode`] and [`Database::set_page_layout`].
@@ -420,11 +420,6 @@ impl Database {
     pub fn with_selection_mode(mut self, mode: SelectionMode) -> Self {
         self.selection_mode = mode;
         self
-    }
-
-    /// The join algorithm the planner picks for equijoins.
-    pub fn join_algo(&self) -> JoinAlgo {
-        self.profile.join_algo
     }
 
     /// Overrides the engine profile's join algorithm for subsequent queries
@@ -441,11 +436,6 @@ impl Database {
         self
     }
 
-    /// The active fault plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.ctx.fault.plan()
-    }
-
     /// Installs a deterministic fault plan for subsequent queries (fresh
     /// draw counters, fresh stats). [`FaultPlan::disabled`] turns injection
     /// off.
@@ -453,27 +443,10 @@ impl Database {
         self.ctx.fault = FaultInjector::new(plan);
     }
 
-    /// Builder-style [`Database::set_fault_plan`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.set_fault_plan(plan);
-        self
-    }
-
-    /// The per-query resource budget.
-    pub fn budget(&self) -> ResourceBudget {
-        self.ctx.budget
-    }
-
     /// Installs per-query resource guardrails, enforced cooperatively at
     /// batch/partition boundaries of subsequent queries.
     pub fn set_budget(&mut self, budget: ResourceBudget) {
         self.ctx.budget = budget;
-    }
-
-    /// Builder-style [`Database::set_budget`].
-    pub fn with_budget(mut self, budget: ResourceBudget) -> Self {
-        self.ctx.budget = budget;
-        self
     }
 
     /// A handle that cancels queries on this database: after
@@ -509,11 +482,6 @@ impl Database {
     /// The simulated processor (counters, ledger, cycles).
     pub fn cpu(&self) -> &Cpu {
         &self.ctx.cpu
-    }
-
-    /// Mutable access to the processor (snapshots, stat resets).
-    pub fn cpu_mut(&mut self) -> &mut Cpu {
-        &mut self.ctx.cpu
     }
 
     pub(crate) fn table_idx(&self, name: &str) -> DbResult<usize> {
@@ -558,6 +526,7 @@ impl Database {
             heap,
             shard_col: 0,
         });
+        self.catalog_epoch += 1;
         Ok(self.tables.len() - 1)
     }
 
@@ -579,6 +548,7 @@ impl Database {
         I: IntoIterator<Item = Vec<i32>>,
     {
         let ti = self.table_idx(name)?;
+        self.catalog_epoch += 1;
         let arity = self.tables[ti].schema.arity();
         let mut buf = Vec::with_capacity(arity * 4);
         let mut n = 0u64;
@@ -656,6 +626,7 @@ impl Database {
             col: ci,
             btree,
         });
+        self.catalog_epoch += 1;
         Ok(())
     }
 
@@ -693,52 +664,58 @@ impl Database {
     /// `(group, value)` pairs in ascending group order. TPC-D's original
     /// queries are grouped aggregates (e.g. Q1 groups on return flag).
     ///
-    /// Thin shim over the unified `Database::dispatch` path; prefer
+    /// One crossing of the entry gate (`Database::gated`); prefer
     /// [`crate::sql::Session::sql_grouped`] for new code.
     pub fn run_grouped(
         &mut self,
         table: &str,
         group_col: &str,
         predicate: Option<&QueryPredicate>,
-        agg: &crate::query::AggSpec,
+        agg: &AggSpec,
     ) -> DbResult<Vec<(i32, f64)>> {
-        let kind = agg.kind;
-        Ok(self
-            .run_grouped_partial(table, group_col, predicate, agg)?
+        let groups = self.gated(|db| db.grouped_partial(table, group_col, predicate, agg, None))?;
+        Ok(groups
             .into_iter()
-            .map(|(k, st)| (k, st.value(kind)))
+            .map(|(k, st)| (k, st.value(agg.kind)))
             .collect())
     }
 
-    /// [`Database::run_grouped`] stopping short of rendering values: each
-    /// group's exact accumulator, in ascending group order. The shard router
-    /// merges these per key across partitions, so a sharded grouped answer
-    /// is bit-identical to the single-shard one.
-    pub fn run_grouped_partial(
+    /// The body of [`Database::run_grouped`] stopping short of rendering
+    /// values: each group's exact accumulator, in ascending group order.
+    /// The shard router merges these per key across partitions, so a
+    /// sharded grouped answer is bit-identical to the single-shard one.
+    /// `morsel_rows` slices the scan exactly as in
+    /// [`Database::agg_partial`], under the same contract; per-morsel group
+    /// maps merge through [`AggState::merge`] (exact integer arithmetic),
+    /// so the merged groups are bit-identical to the unbounded run's.
+    pub(crate) fn grouped_partial(
         &mut self,
         table: &str,
         group_col: &str,
         predicate: Option<&QueryPredicate>,
-        agg: &crate::query::AggSpec,
+        agg: &AggSpec,
+        morsel_rows: Option<u32>,
     ) -> DbResult<Vec<(i32, AggState)>> {
-        match self.dispatch(ExecRequest::Grouped {
-            table,
-            group_col,
-            predicate,
-            agg,
-            morsel_rows: None,
-        })? {
-            ExecOutcome::Grouped(v) => Ok(v),
-            _ => Err(DbError::Internal("grouped dispatch shape".into())),
+        let ranges = match morsel_rows {
+            None => vec![None],
+            Some(m) => self.heap_morsel_ranges(self.table_idx(table)?, m),
+        };
+        let mut merged: BTreeMap<i32, AggState> = BTreeMap::new();
+        for (i, range) in ranges.into_iter().enumerate() {
+            self.morsel_checkpoint(i)?;
+            for (k, st) in self.grouped_morsel(table, group_col, predicate, agg, range, i == 0)? {
+                merged.entry(k).or_default().merge(&st);
+            }
         }
+        Ok(merged.into_iter().collect())
     }
 
-    fn run_grouped_inner(
+    fn grouped_morsel(
         &mut self,
         table: &str,
         group_col: &str,
         predicate: Option<&QueryPredicate>,
-        agg: &crate::query::AggSpec,
+        agg: &AggSpec,
         range: Option<(u32, u32)>,
         charge_setup: bool,
     ) -> DbResult<Vec<(i32, AggState)>> {
@@ -797,20 +774,9 @@ impl Database {
             agg.kind,
             Arc::clone(&blocks),
         );
-        let Database {
-            ctx,
-            bufpool,
-            profile,
-            exec_mode,
-            ..
-        } = self;
-        let mut env = ExecEnv {
-            ctx,
-            bufpool,
-            mode: *exec_mode,
-        };
+        let mut env = self.env();
         if charge_setup {
-            env.ctx.exec(&profile.blocks.query_setup);
+            env.ctx.exec(&blocks.query_setup);
         }
         gb.run_to_end_partial(&mut env)
     }
@@ -909,38 +875,63 @@ impl Database {
         }
     }
 
-    /// Runs a query through the engine's planner and instrumented executor.
-    ///
-    /// This is also the engine's survival boundary: the per-query budget
-    /// baselines reset here, a pending [`CancelToken::cancel`] is honored
-    /// before any work, and any residual executor panic (an invariant
-    /// violation rather than a typed error) is caught and converted to
-    /// [`DbError::Internal`], so one bad query can never take down the
-    /// engine.
-    ///
-    /// Thin shim over the unified `Database::dispatch` path (as are all
-    /// six `run*` entry points); prefer [`crate::sql::Session::sql`], which
-    /// also picks the physical knobs, for new code.
-    pub fn run(&mut self, q: &Query) -> DbResult<QueryResult> {
-        match self.dispatch(ExecRequest::Scalar(q))? {
-            ExecOutcome::Scalar(r) => Ok(r),
-            _ => Err(DbError::Internal("scalar dispatch shape".into())),
-        }
-    }
-
-    /// The single entry gate every `run*` shim funnels through: per-query
-    /// budget baselines reset, pending cancellation honored, panic firewall
-    /// armed — exactly once, in one place, for all six public entry points.
-    pub(crate) fn dispatch(&mut self, req: ExecRequest<'_>) -> DbResult<ExecOutcome> {
+    /// The engine's one entry gate and survival boundary: the per-query
+    /// budget baselines reset here, a pending [`CancelToken::cancel`] is
+    /// honored before any work, and any residual executor panic (an
+    /// invariant violation rather than a typed error) is caught and
+    /// converted to [`DbError::Internal`], so one bad query can never take
+    /// down the engine. [`Database::run`], [`Database::run_grouped`],
+    /// [`Database::txn_run`] and every per-shard attempt of the shard
+    /// router ([`crate::shard`]) cross it exactly once per statement.
+    pub(crate) fn gated<T>(
+        &mut self,
+        body: impl FnOnce(&mut Database) -> DbResult<T>,
+    ) -> DbResult<T> {
         self.ctx.begin_query();
         if self.ctx.cancel.is_cancelled() {
             return Err(DbError::Cancelled);
         }
-        catch_internal(|| self.dispatch_inner(req))
+        catch_internal(|| body(self))
+    }
+
+    /// The execution environment operators run in: this database's
+    /// instrumented context, buffer pool and execution mode.
+    pub(crate) fn env(&mut self) -> ExecEnv<'_> {
+        ExecEnv {
+            ctx: &mut self.ctx,
+            bufpool: &self.bufpool,
+            mode: self.exec_mode,
+        }
+    }
+
+    /// Runs a query through the engine's planner and instrumented executor
+    /// (one crossing of the entry gate, `Database::gated`). Prefer
+    /// [`crate::sql::Session::sql`], which also picks the physical knobs,
+    /// for new code.
+    pub fn run(&mut self, q: &Query) -> DbResult<QueryResult> {
+        self.gated(|db| match q {
+            Query::SelectAgg { agg, .. } | Query::JoinAgg { agg, .. } => {
+                Ok(db.agg_partial(q, None)?.result(agg.kind))
+            }
+            Query::PointSelect {
+                table,
+                key_col,
+                key,
+                read_col,
+            } => db.point_select(table, key_col, *key, read_col),
+            Query::UpdateAdd {
+                table,
+                key_col,
+                key,
+                set_col,
+                delta,
+            } => db.update_add(table, key_col, *key, set_col, *delta),
+            Query::InsertRow { table, values } => db.insert_row(table, values.clone()),
+        })
     }
 
     /// Cancellation + budget checkpoint between morsels (not before the
-    /// first — `Database::dispatch` already checked). A pure check: no
+    /// first — [`Database::gated`] already checked). A pure check: no
     /// simulated cost, so the counter stream depends only on the morsel
     /// decomposition.
     fn morsel_checkpoint(&mut self, morsel_no: usize) -> DbResult<()> {
@@ -953,145 +944,52 @@ impl Database {
         Ok(())
     }
 
-    fn dispatch_inner(&mut self, req: ExecRequest<'_>) -> DbResult<ExecOutcome> {
-        match req {
-            ExecRequest::Scalar(q) => self.run_inner(q).map(ExecOutcome::Scalar),
-            ExecRequest::Partial { q, morsel_rows } => {
-                let ranges = match morsel_rows {
-                    None => vec![(0, u32::MAX)],
-                    Some(m) => self.morsel_ranges(q, m)?,
-                };
-                let mut acc = AggState::new();
-                for (i, r) in ranges.into_iter().enumerate() {
-                    self.morsel_checkpoint(i)?;
-                    // An unbounded request plans with no page range at all
-                    // (not a `(0, MAX)` bound), keeping its plan identical
-                    // to the historical `run_partial`.
-                    let range = if morsel_rows.is_some() { Some(r) } else { None };
-                    let mut agg_exec = self.plan_agg_ranged(q, range)?;
-                    acc.merge(&self.finish_agg_opts(&mut agg_exec, i == 0)?);
-                }
-                Ok(ExecOutcome::Partial(acc))
-            }
-            ExecRequest::Grouped {
-                table,
-                group_col,
-                predicate,
-                agg,
-                morsel_rows,
-            } => {
-                let ranges = match morsel_rows {
-                    None => vec![None],
-                    Some(m) => {
-                        let ti = self.table_idx(table)?;
-                        self.heap_morsel_ranges(ti, m)
-                            .into_iter()
-                            .map(Some)
-                            .collect()
-                    }
-                };
-                let mut merged: std::collections::BTreeMap<i32, AggState> =
-                    std::collections::BTreeMap::new();
-                for (i, r) in ranges.into_iter().enumerate() {
-                    self.morsel_checkpoint(i)?;
-                    for (k, st) in
-                        self.run_grouped_inner(table, group_col, predicate, agg, r, i == 0)?
-                    {
-                        merged.entry(k).or_default().merge(&st);
-                    }
-                }
-                Ok(ExecOutcome::Grouped(merged.into_iter().collect()))
-            }
-        }
-    }
-
-    fn run_inner(&mut self, q: &Query) -> DbResult<QueryResult> {
-        match q {
-            Query::SelectAgg { agg, .. } | Query::JoinAgg { agg, .. } => {
-                let kind = agg.kind;
-                let mut agg_exec = self.plan_agg(q)?;
-                Ok(self.finish_agg(&mut agg_exec)?.result(kind))
-            }
-            Query::PointSelect {
-                table,
-                key_col,
-                key,
-                read_col,
-            } => self.point_select(table, key_col, *key, read_col),
-            Query::UpdateAdd {
-                table,
-                key_col,
-                key,
-                set_col,
-                delta,
-            } => self.update_add(table, key_col, *key, set_col, *delta),
-            Query::InsertRow { table, values } => self.insert_row(table, values.clone()),
-        }
-    }
-
     /// Runs an aggregate query ([`Query::SelectAgg`] / [`Query::JoinAgg`])
-    /// but returns the exact partial accumulator instead of the rendered
-    /// value. Sharded execution runs this per shard and merges the partials
-    /// ([`AggState::merge`]), so the merged answer is bit-identical to a
-    /// single-shard [`Database::run`].
-    pub fn run_partial(&mut self, q: &Query) -> DbResult<AggState> {
-        match self.dispatch(ExecRequest::Partial {
-            q,
-            morsel_rows: None,
-        })? {
-            ExecOutcome::Partial(st) => Ok(st),
-            _ => Err(DbError::Internal("partial dispatch shape".into())),
-        }
-    }
-
-    /// [`Database::run_partial`] executed as a sequence of page-aligned
-    /// morsels of roughly `morsel_rows` rows each.
+    /// to its exact partial accumulator instead of the rendered value.
+    /// [`Database::run`] renders it; sharded execution runs this per shard
+    /// and merges the partials ([`AggState::merge`]), so the merged answer
+    /// is bit-identical to a single-shard [`Database::run`].
+    ///
+    /// `morsel_rows: None` plans one unbounded scan — with **no** page
+    /// range at all, not a `(0, MAX)` bound. `Some(rows)` executes the
+    /// query as a sequence of page-aligned morsels of roughly `rows` rows
+    /// each.
     ///
     /// The morsels of one database run **in order on its own simulated
     /// core**, so the instruction/data stream the cache and branch
     /// simulators see is a pure function of the morsel decomposition —
     /// never of which OS thread runs it or when. That is the determinism
-    /// contract the parallel executor is built on: for a fixed
+    /// contract the parallel scheduler is built on: for a fixed
     /// `morsel_rows`, any schedule produces bit-identical counters, and a
-    /// single whole-table morsel (`morsel_rows ≥ rows`) reproduces
-    /// [`Database::run_partial`] cycle-exactly.
+    /// single whole-table morsel (`morsel_rows ≥ rows`) reproduces the
+    /// unbounded run cycle-exactly.
     ///
     /// Each morsel boundary is also a cancellation and budget checkpoint
     /// (a pure check — no simulated cost — so the counter stream still
     /// depends only on the morsel decomposition), and `query_setup` is
-    /// charged on the first morsel only.
-    pub fn run_partial_morsels(&mut self, q: &Query, morsel_rows: u32) -> DbResult<AggState> {
-        match self.dispatch(ExecRequest::Partial {
-            q,
-            morsel_rows: Some(morsel_rows),
-        })? {
-            ExecOutcome::Partial(st) => Ok(st),
-            _ => Err(DbError::Internal("partial dispatch shape".into())),
-        }
-    }
-
-    /// [`Database::run_grouped_partial`] executed morsel-by-morsel; same
-    /// contract as [`Database::run_partial_morsels`]. Per-morsel group maps
-    /// merge through [`AggState::merge`] (exact integer arithmetic), so the
-    /// merged groups are bit-identical to the unbounded run's.
-    pub fn run_grouped_partial_morsels(
+    /// charged on the first morsel only, so the whole morsel sequence costs
+    /// exactly what one unbounded run does.
+    pub(crate) fn agg_partial(
         &mut self,
-        table: &str,
-        group_col: &str,
-        predicate: Option<&QueryPredicate>,
-        agg: &crate::query::AggSpec,
-        morsel_rows: u32,
-    ) -> DbResult<Vec<(i32, AggState)>> {
-        match self.dispatch(ExecRequest::Grouped {
-            table,
-            group_col,
-            predicate,
-            agg,
-            morsel_rows: Some(morsel_rows),
-        })? {
-            ExecOutcome::Grouped(v) => Ok(v),
-            _ => Err(DbError::Internal("grouped dispatch shape".into())),
+        q: &Query,
+        morsel_rows: Option<u32>,
+    ) -> DbResult<AggState> {
+        let ranges = match morsel_rows {
+            None => vec![None],
+            Some(m) => self.morsel_ranges(q, m)?,
+        };
+        let blocks = Arc::clone(&self.profile.blocks);
+        let mut acc = AggState::new();
+        for (i, range) in ranges.into_iter().enumerate() {
+            self.morsel_checkpoint(i)?;
+            let mut agg_exec = self.plan_agg(q, range)?;
+            let mut env = self.env();
+            if i == 0 {
+                env.ctx.exec(&blocks.query_setup);
+            }
+            acc.merge(&agg_exec.run_partial(&mut env)?);
         }
+        Ok(acc)
     }
 
     /// Splits `q`'s outer scan into page-aligned morsel ranges of roughly
@@ -1099,18 +997,18 @@ impl Database {
     /// joins (the build side reads the whole inner table) and B+tree index
     /// range scans — get a single whole-table morsel, so morselization
     /// never changes *what* a plan does, only how a seq scan is sliced.
-    fn morsel_ranges(&self, q: &Query, morsel_rows: u32) -> DbResult<Vec<(u32, u32)>> {
+    fn morsel_ranges(&self, q: &Query, morsel_rows: u32) -> DbResult<Vec<Option<(u32, u32)>>> {
         let Query::SelectAgg {
             table, predicate, ..
         } = q
         else {
-            return Ok(vec![(0, u32::MAX)]);
+            return Ok(vec![None]);
         };
         let ti = self.table_idx(table)?;
         if let Some(QueryPredicate::Range { col, .. }) = predicate {
             let ci = self.tables[ti].schema.col(col)?;
             if self.profile.use_index_for_range && self.index_on(ti, ci).is_some() {
-                return Ok(vec![(0, u32::MAX)]);
+                return Ok(vec![None]);
             }
         }
         Ok(self.heap_morsel_ranges(ti, morsel_rows))
@@ -1120,34 +1018,29 @@ impl Database {
     /// least one page (the page is the unit of the buffer-pool open path);
     /// an empty heap still yields one `(0, 0)` morsel so `query_setup` is
     /// charged exactly once, as in an unbounded scan.
-    fn heap_morsel_ranges(&self, ti: usize, morsel_rows: u32) -> Vec<(u32, u32)> {
+    fn heap_morsel_ranges(&self, ti: usize, morsel_rows: u32) -> Vec<Option<(u32, u32)>> {
         let heap = &self.tables[ti].heap;
         let n_pages = heap.n_pages();
         if n_pages == 0 {
-            return vec![(0, 0)];
+            return vec![Some((0, 0))];
         }
         let per = (morsel_rows.max(1) as u64)
             .div_ceil(heap.page_cap as u64)
             .max(1) as u32;
         (0..n_pages)
             .step_by(per as usize)
-            .map(|p| (p, (p + per).min(n_pages)))
+            .map(|p| Some((p, (p + per).min(n_pages))))
             .collect()
     }
 
-    /// The planner half of [`Database::run`] for aggregate queries, shared
-    /// with [`Database::run_partial`] so both paths plan identically.
-    fn plan_agg(&self, q: &Query) -> DbResult<AggExec> {
-        self.plan_agg_ranged(q, None)
-    }
-
-    /// [`Database::plan_agg`] with an optional heap-page bound on the
-    /// outer sequential scan — the morsel hook. `None` plans the whole
-    /// table; `Some((first, end))` plans one morsel's page range. Only the
-    /// seq-scan path of [`Query::SelectAgg`] is ever planned with a bound
-    /// ([`Database::morsel_ranges`] hands every other plan shape a single
-    /// whole-table morsel), so index and join plans are unaffected.
-    fn plan_agg_ranged(&self, q: &Query, range: Option<(u32, u32)>) -> DbResult<AggExec> {
+    /// The planner half of [`Database::agg_partial`], with an optional
+    /// heap-page bound on the outer sequential scan — the morsel hook.
+    /// `None` plans the whole table; `Some((first, end))` plans one
+    /// morsel's page range. Only the seq-scan path of [`Query::SelectAgg`]
+    /// is ever planned with a bound ([`Database::morsel_ranges`] hands every
+    /// other plan shape a single unbounded morsel), so index and join plans
+    /// are unaffected.
+    fn plan_agg(&self, q: &Query, range: Option<(u32, u32)>) -> DbResult<AggExec> {
         let blocks = Arc::clone(&self.profile.blocks);
         match q {
             Query::SelectAgg {
@@ -1339,30 +1232,42 @@ impl Database {
         }
     }
 
-    fn finish_agg(&mut self, agg: &mut AggExec) -> DbResult<AggState> {
-        self.finish_agg_opts(agg, true)
-    }
-
-    /// [`Database::finish_agg`] with control over the one-time query-setup
-    /// charge: a morselized query charges it on its first morsel only, so
-    /// the whole morsel sequence costs exactly what one unbounded run does.
-    fn finish_agg_opts(&mut self, agg: &mut AggExec, charge_setup: bool) -> DbResult<AggState> {
-        let Database {
-            ctx,
-            bufpool,
-            profile,
-            exec_mode,
-            ..
-        } = self;
-        let mut env = ExecEnv {
-            ctx,
-            bufpool,
-            mode: *exec_mode,
-        };
-        if charge_setup {
-            env.ctx.exec(&profile.blocks.query_setup);
+    /// The walk both autocommit point operations share: resolves the index
+    /// on `table.key_col` and the ordinal of `table.col`, then visits every
+    /// index entry equal to `key`, fetching each record *as it is found* —
+    /// leaf walk interleaved with record fetches, unlike the `txn_*` twins
+    /// in [`crate::txn`], which collect rids first (a different access
+    /// stream, so the two pairs must not share this). `visit` gets the
+    /// record's rid and the simulated address of its `col` field. Returns
+    /// the table and `col` ordinals.
+    fn for_each_match(
+        &mut self,
+        table: &str,
+        key_col: &str,
+        key: i32,
+        col: &str,
+        mut visit: impl FnMut(&mut ExecEnv<'_>, Rid, u64) -> DbResult<()>,
+    ) -> DbResult<(usize, usize)> {
+        let ti = self.table_idx(table)?;
+        let kc = self.tables[ti].schema.col(key_col)?;
+        let c = self.tables[ti].schema.col(col)?;
+        let ix = self
+            .index_on(ti, kc)
+            .ok_or_else(|| DbError::IndexNotFound(format!("{table}.{key_col}")))?;
+        let btree = ix.btree.clone();
+        let heap = self.tables[ti].heap.clone();
+        let blocks = Arc::clone(&self.profile.blocks);
+        let mut env = self.env();
+        let mut cursor = descend_to_leaf(&mut env, &btree, key, &blocks);
+        while let Some((k, rid)) = cursor.next_entry(&mut env, &blocks) {
+            if k != key {
+                break;
+            }
+            let rid = Rid::unpack(rid);
+            let frame = fetch_record(&mut env, &heap, rid, &blocks)?;
+            visit(&mut env, rid, heap.field_addr_at(frame, rid.slot, c))?;
         }
-        agg.run_partial(&mut env)
+        Ok((ti, c))
     }
 
     /// Instrumented point lookup through the index on `key_col`; returns the
@@ -1374,45 +1279,19 @@ impl Database {
         key: i32,
         read_col: &str,
     ) -> DbResult<QueryResult> {
-        let ti = self.table_idx(table)?;
-        let kc = self.tables[ti].schema.col(key_col)?;
-        let rc = self.tables[ti].schema.col(read_col)?;
-        let ix = self
-            .index_on(ti, kc)
-            .ok_or_else(|| DbError::IndexNotFound(format!("{table}.{key_col}")))?;
-        let btree = ix.btree.clone();
-        let heap = self.tables[ti].heap.clone();
-        let blocks = Arc::clone(&self.profile.blocks);
-
-        let Database {
-            ctx,
-            bufpool,
-            exec_mode,
-            ..
-        } = self;
-        let mut env = ExecEnv {
-            ctx,
-            bufpool,
-            mode: *exec_mode,
+        let mut out = QueryResult {
+            value: 0.0,
+            rows: 0,
         };
-        let mut cursor: LeafCursor = descend_to_leaf(&mut env, &btree, key, &blocks);
-        let mut value = 0f64;
-        let mut rows = 0u64;
-        while let Some((k, rid)) = cursor.next_entry(&mut env, &blocks) {
-            if k != key {
-                break;
+        self.for_each_match(table, key_col, key, read_col, |env, _, addr| {
+            let v = env.ctx.load_i32(addr, MemDep::Chase);
+            if out.rows == 0 {
+                out.value = v as f64;
             }
-            let rid = Rid::unpack(rid);
-            let frame = fetch_record(&mut env, &heap, rid, &blocks)?;
-            let v = env
-                .ctx
-                .load_i32(heap.field_addr_at(frame, rid.slot, rc), MemDep::Chase);
-            if rows == 0 {
-                value = v as f64;
-            }
-            rows += 1;
-        }
-        Ok(QueryResult { value, rows })
+            out.rows += 1;
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Instrumented single-row update: adds `delta` to `set_col` of every
@@ -1432,62 +1311,32 @@ impl Database {
         set_col: &str,
         delta: i32,
     ) -> DbResult<QueryResult> {
-        let ti = self.table_idx(table)?;
-        let kc = self.tables[ti].schema.col(key_col)?;
-        let sc = self.tables[ti].schema.col(set_col)?;
-        let ix = self
-            .index_on(ti, kc)
-            .ok_or_else(|| DbError::IndexNotFound(format!("{table}.{key_col}")))?;
-        let btree = ix.btree.clone();
-        let heap = self.tables[ti].heap.clone();
         let blocks = Arc::clone(&self.profile.blocks);
-
         // Phase 1: locate and compute (instrumented reads, no mutation).
         let mut updates: Vec<(u64, i32, i32)> = Vec::new();
-        {
-            let Database {
-                ctx,
-                bufpool,
-                exec_mode,
-                ..
-            } = &mut *self;
-            let mut env = ExecEnv {
-                ctx,
-                bufpool,
-                mode: *exec_mode,
-            };
-            let mut cursor = descend_to_leaf(&mut env, &btree, key, &blocks);
-            while let Some((k, rid)) = cursor.next_entry(&mut env, &blocks) {
-                if k != key {
-                    break;
-                }
-                let rid = Rid::unpack(rid);
-                let frame = fetch_record(&mut env, &heap, rid, &blocks)?;
-                env.ctx.exec(&blocks.update_step);
-                let set_addr = heap.field_addr_at(frame, rid.slot, sc);
-                let v = env.ctx.load_i32(set_addr, MemDep::Chase);
-                let nv = v.checked_add(delta).ok_or_else(|| DbError::ValueOverflow {
-                    table: table.to_string(),
-                    col: set_col.to_string(),
-                    key,
-                })?;
-                updates.push((rid.pack(), v, nv));
-            }
-        }
-        if updates.is_empty() {
+        let (ti, sc) = self.for_each_match(table, key_col, key, set_col, |env, rid, addr| {
+            env.ctx.exec(&blocks.update_step);
+            let v = env.ctx.load_i32(addr, MemDep::Chase);
+            let nv = v.checked_add(delta).ok_or_else(|| DbError::ValueOverflow {
+                table: table.to_string(),
+                col: set_col.to_string(),
+                key,
+            })?;
+            updates.push((rid.pack(), v, nv));
+            Ok(())
+        })?;
+        let Some(&(_, _, last)) = updates.last() else {
             return Ok(QueryResult {
                 value: 0.0,
                 rows: 0,
             });
-        }
+        };
         // Phase 2: install as an implicit commit (WAL append-before-apply,
         // version push, instrumented stores).
-        let last = updates.last().map(|&(_, _, nv)| nv).unwrap_or(0);
-        let rows = updates.len() as u64;
         self.autocommit_apply_update(ti, sc, &updates)?;
         Ok(QueryResult {
             value: last as f64,
-            rows,
+            rows: updates.len() as u64,
         })
     }
 
@@ -1609,51 +1458,6 @@ impl Database {
         }
         Ok(ShardedDatabase::from_shards(shards))
     }
-}
-
-/// One request on the unified execution path. Every public `run*` entry
-/// point (and the SQL [`crate::sql::Session`]) lowers to one of these and
-/// goes through `Database::dispatch`, so query setup, cancellation,
-/// budget checkpoints and the panic firewall exist exactly once.
-#[derive(Debug)]
-pub(crate) enum ExecRequest<'a> {
-    /// A scalar-result query ([`Database::run`]).
-    Scalar(&'a Query),
-    /// An aggregate returning its exact partial accumulator, optionally
-    /// morselized ([`Database::run_partial`] /
-    /// [`Database::run_partial_morsels`]).
-    Partial {
-        /// The aggregate query.
-        q: &'a Query,
-        /// `Some(rows)` slices the outer scan into page-aligned morsels.
-        morsel_rows: Option<u32>,
-    },
-    /// A grouped aggregate returning per-group partials, optionally
-    /// morselized ([`Database::run_grouped_partial`] /
-    /// [`Database::run_grouped_partial_morsels`]).
-    Grouped {
-        /// Table name.
-        table: &'a str,
-        /// Grouping column.
-        group_col: &'a str,
-        /// Optional predicate (range form).
-        predicate: Option<&'a QueryPredicate>,
-        /// Aggregate.
-        agg: &'a crate::query::AggSpec,
-        /// `Some(rows)` slices the scan into page-aligned morsels.
-        morsel_rows: Option<u32>,
-    },
-}
-
-/// What `Database::dispatch` produced; each shim unwraps its own shape.
-#[derive(Debug)]
-pub(crate) enum ExecOutcome {
-    /// Scalar result.
-    Scalar(QueryResult),
-    /// Exact aggregate partial.
-    Partial(AggState),
-    /// Per-group partials in ascending group order.
-    Grouped(Vec<(i32, AggState)>),
 }
 
 /// Runs `f`, converting any panic into [`DbError::Internal`] so executor

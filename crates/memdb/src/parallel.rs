@@ -1,11 +1,12 @@
-//! Morsel-driven OS-thread parallel execution over a sharded database.
+//! The pool scheduler: morsel-driven OS-thread parallel execution.
 //!
-//! [`crate::shard`] executes its shards one after another on the calling
-//! thread; this module executes them on a scoped worker pool with a
-//! work-stealing deque, morselizing each shard's scan
-//! ([`Database::run_partial_morsels`]) — and produces **bit-identical**
-//! answers and merged counters for every worker count, morsel schedule and
-//! steal order.
+//! The shard router ([`crate::shard`]) has two schedulers for its per-shard
+//! sub-queries. One is a plain loop on the calling thread; this module is
+//! the other — a scoped worker pool with work-stealing deques
+//! ([`run_jobs_parallel`], configured by [`ParallelConfig`]) under which
+//! each shard's scan is also morselized (`Database::agg_partial`) — and it
+//! produces **bit-identical** answers and merged counters for every worker
+//! count, morsel schedule and steal order.
 //!
 //! # The determinism argument
 //!
@@ -27,28 +28,24 @@
 //!    threads share no simulated state, the schedule cannot perturb any
 //!    counter.
 //! 4. **Merging is order-insensitive.** Partial aggregates merge with
-//!    exact integer arithmetic ([`AggState::merge`], commutative and
+//!    exact integer arithmetic ([`crate::AggState::merge`], commutative and
 //!    associative), counter merging sums per-core deltas and takes the max
 //!    for wall clock ([`wdtg_sim::merge_cores`]), and both are applied in
 //!    shard order after all tasks complete. Errors are surfaced in shard
 //!    order too, so even a failing run reports the same typed error under
 //!    every schedule.
 //!
-//! Consequently `run_parallel` with 1 worker, 8 workers, or any steal seed
-//! produces the same bytes; `tests/parallel_equivalence.rs` holds it to
-//! that. Host wall-clock time, of course, *does* change with workers —
-//! that is the point — and the `scale_compare` bench reports it next to
-//! the modeled (simulated) scaling.
+//! Consequently `ShardedDatabase::run_parallel` with 1 worker, 8 workers,
+//! or any steal seed produces the same bytes;
+//! `tests/parallel_equivalence.rs` holds it to that. Host wall-clock time,
+//! of course, *does* change with workers — that is the point — and the
+//! `scale_compare` bench reports it next to the modeled (simulated)
+//! scaling.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use crate::db::Database;
-use crate::error::{DbError, DbResult};
-use crate::exec::partial::AggState;
-use crate::fault::{splitmix64, CancelToken};
-use crate::query::{Query, QueryPredicate, QueryResult};
-use crate::shard::{run_mutation, run_with_retry, shard_of, RouterStats, ShardedDatabase};
+use crate::fault::splitmix64;
 
 /// Knobs for one parallel run. All of them affect only *host* scheduling —
 /// answers and merged simulated counters are bit-identical for every
@@ -62,7 +59,7 @@ pub struct ParallelConfig {
     pub workers: usize,
     /// Target rows per morsel. Morsels are page-aligned (at least one heap
     /// page); `u32::MAX` gives one whole-table morsel per shard, which
-    /// reproduces [`ShardedDatabase::run`]'s per-shard stream exactly.
+    /// reproduces [`crate::ShardedDatabase::run`]'s per-shard stream exactly.
     pub morsel_rows: u32,
     /// Seed perturbing the task deal and steal-victim order — host
     /// schedule only, asserted harmless by the steal-order stress test.
@@ -122,7 +119,7 @@ impl ParallelConfig {
 ///
 /// Each job value is handed to exactly one worker by value (`T: Send`), so
 /// jobs that own mutable state — a `&mut Database` shard, or a whole
-/// [`Database`] replica in the OLTP driver — move across threads without
+/// [`crate::Database`] replica in the OLTP driver — move across threads without
 /// any shared simulated state.
 pub fn run_jobs_parallel<T, R, F>(jobs: Vec<T>, workers: usize, seed: u64, op: F) -> Vec<R>
 where
@@ -215,232 +212,11 @@ where
         .collect()
 }
 
-/// [`run_jobs_parallel`] specialized to a sharded database's shards: runs
-/// `op` once per shard, outputs in shard order.
-fn for_each_shard_parallel<R, F>(
-    shards: &mut [Database],
-    workers: usize,
-    seed: u64,
-    op: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, &mut Database) -> R + Sync,
-{
-    run_jobs_parallel(shards.iter_mut().collect(), workers, seed, |i, db| {
-        op(i, db)
-    })
-}
-
-/// Folds per-shard `(result, stats)` outputs in shard order: router stats
-/// always merge; the first error *in shard order* wins (so the surfaced
-/// typed error is schedule-independent), else `fold` consumes each value.
-fn merge_shard_outputs<T>(
-    stats: &mut RouterStats,
-    outs: Vec<(DbResult<T>, RouterStats)>,
-    mut fold: impl FnMut(usize, T),
-) -> DbResult<()> {
-    let mut first_err = None;
-    for (shard_no, (r, st)) in outs.into_iter().enumerate() {
-        stats.absorb(&st);
-        match r {
-            Ok(v) => fold(shard_no, v),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
-}
-
-impl ShardedDatabase {
-    /// The cancellation token shared by every shard (and the database the
-    /// shards were split from). Cloning it onto another thread and calling
-    /// [`CancelToken::cancel`] aborts an in-flight parallel query at its
-    /// next morsel or batch checkpoint on every worker.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.shards[0].cancel_token()
-    }
-
-    /// [`ShardedDatabase::run`] on a work-stealing OS-thread pool.
-    ///
-    /// Aggregates morselize each shard's scan and merge exact partials;
-    /// point reads and updates broadcast; inserts route — all with the
-    /// same merge rules (and the same refusals) as the sequential router.
-    /// Answers and merged counters are bit-identical to
-    /// `run_parallel` with one worker for every `cfg`; see the module docs
-    /// for why, and `tests/parallel_equivalence.rs` for proof.
-    pub fn run_parallel(&mut self, q: &Query, cfg: &ParallelConfig) -> DbResult<QueryResult> {
-        match q {
-            Query::SelectAgg { agg, .. } => self.parallel_merged_agg(q, agg.kind, cfg),
-            Query::JoinAgg { agg, .. } => {
-                self.check_join_co_partitioning(q)?;
-                self.parallel_merged_agg(q, agg.kind, cfg)
-            }
-            Query::PointSelect { .. } => {
-                let outs = for_each_shard_parallel(
-                    &mut self.shards,
-                    cfg.effective_workers(),
-                    cfg.steal_seed,
-                    |i, db| {
-                        let mut st = RouterStats::default();
-                        let r = run_with_retry(db, i, &mut st, |db| db.run(q));
-                        (r, st)
-                    },
-                );
-                let mut out = QueryResult {
-                    value: 0.0,
-                    rows: 0,
-                };
-                let mut shards_with_matches = 0u32;
-                merge_shard_outputs(&mut self.stats, outs, |_, r: QueryResult| {
-                    if r.rows > 0 {
-                        shards_with_matches += 1;
-                        if out.rows == 0 {
-                            out.value = r.value;
-                        }
-                        out.rows += r.rows;
-                    }
-                })?;
-                if shards_with_matches > 1 {
-                    return Err(DbError::PlanError(format!(
-                        "point select matched rows on {shards_with_matches} shards: the \
-                         key is duplicated across shards, so a single returned value is \
-                         not well defined; shard the table on the lookup column \
-                         (Database::set_shard_key) or use an aggregate query"
-                    )));
-                }
-                Ok(out)
-            }
-            Query::UpdateAdd { .. } => {
-                // A cancellation that is already pending must imply *zero*
-                // mutation, so check before any shard can apply (each
-                // shard re-checks at its own entry; a cancel landing
-                // mid-broadcast behaves like the sequential router's:
-                // per-shard atomic, already-applied shards stay applied).
-                if self.cancel_token().is_cancelled() {
-                    return Err(DbError::Cancelled);
-                }
-                let outs = for_each_shard_parallel(
-                    &mut self.shards,
-                    cfg.effective_workers(),
-                    cfg.steal_seed,
-                    |i, db| {
-                        let mut st = RouterStats::default();
-                        let r = run_mutation(db, i, &mut st, |db| db.run(q));
-                        (r, st)
-                    },
-                );
-                let mut out = QueryResult {
-                    value: 0.0,
-                    rows: 0,
-                };
-                merge_shard_outputs(&mut self.stats, outs, |_, r: QueryResult| {
-                    if r.rows > 0 {
-                        out.value = r.value;
-                    }
-                    out.rows += r.rows;
-                })?;
-                Ok(out)
-            }
-            Query::InsertRow { table, values } => {
-                // Single-shard route: nothing to parallelize, and the
-                // pre-check keeps "Cancelled implies no mutation".
-                if self.cancel_token().is_cancelled() {
-                    return Err(DbError::Cancelled);
-                }
-                let t = self.shards[0].table(table)?;
-                let col = t.shard_col;
-                if col >= values.len() {
-                    return Err(DbError::ArityMismatch {
-                        expected: t.schema.arity(),
-                        got: values.len(),
-                    });
-                }
-                let target = shard_of(values[col], self.shards.len());
-                run_mutation(&mut self.shards[target], target, &mut self.stats, |db| {
-                    db.run(q)
-                })
-            }
-        }
-    }
-
-    /// [`ShardedDatabase::run_grouped`] on the work-stealing pool: each
-    /// shard's grouped sub-query runs morselized on a worker; per-key
-    /// exact partials merge in shard order (ascending key output, like the
-    /// sequential path, bit-identical for every schedule).
-    pub fn run_grouped_parallel(
-        &mut self,
-        table: &str,
-        group_col: &str,
-        predicate: Option<&QueryPredicate>,
-        agg: &crate::query::AggSpec,
-        cfg: &ParallelConfig,
-    ) -> DbResult<Vec<(i32, f64)>> {
-        let kind = agg.kind;
-        let morsel = cfg.morsel_rows;
-        let outs = for_each_shard_parallel(
-            &mut self.shards,
-            cfg.effective_workers(),
-            cfg.steal_seed,
-            |i, db| {
-                let mut st = RouterStats::default();
-                let r = run_with_retry(db, i, &mut st, |db| {
-                    db.run_grouped_partial_morsels(table, group_col, predicate, agg, morsel)
-                });
-                (r, st)
-            },
-        );
-        let mut merged: BTreeMap<i32, AggState> = BTreeMap::new();
-        merge_shard_outputs(
-            &mut self.stats,
-            outs,
-            |_, partials: Vec<(i32, AggState)>| {
-                for (k, st) in partials {
-                    merged.entry(k).or_default().merge(&st);
-                }
-            },
-        )?;
-        Ok(merged
-            .into_iter()
-            .map(|(k, st)| (k, st.value(kind)))
-            .collect())
-    }
-
-    /// The aggregate arm of [`ShardedDatabase::run_parallel`]: every shard
-    /// runs its morselized sub-query (under the router's bounded retry) on
-    /// the pool; partials and errors merge in shard order.
-    fn parallel_merged_agg(
-        &mut self,
-        q: &Query,
-        kind: crate::query::AggKind,
-        cfg: &ParallelConfig,
-    ) -> DbResult<QueryResult> {
-        let morsel = cfg.morsel_rows;
-        let outs = for_each_shard_parallel(
-            &mut self.shards,
-            cfg.effective_workers(),
-            cfg.steal_seed,
-            |i, db| {
-                let mut st = RouterStats::default();
-                let r = run_with_retry(db, i, &mut st, |db| db.run_partial_morsels(q, morsel));
-                (r, st)
-            },
-        );
-        let mut state = AggState::new();
-        merge_shard_outputs(&mut self.stats, outs, |_, p: AggState| state.merge(&p))?;
-        Ok(state.result(kind))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::CancelToken;
+    use crate::{AggState, ShardedDatabase};
 
     /// Compile-time lock on the `Send + Sync` refactor: parallel execution
     /// moves whole shards (Cpu, arenas, buffer pool, fault state) across

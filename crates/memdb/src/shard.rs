@@ -6,7 +6,22 @@
 //! own buffer pool and its own deterministic [`wdtg_sim::Cpu`], run each
 //! query on every shard, and merge.
 //!
-//! # Shard router
+//! # One router, two schedulers
+//!
+//! Every sharded statement goes through one five-arm router
+//! (`ShardedDatabase::route`, and `route_grouped` for `GROUP BY`), which
+//! hands a per-shard closure to one of two schedulers: a loop on the
+//! caller's thread ([`ShardedDatabase::run`] /
+//! [`ShardedDatabase::run_grouped`]) or [`crate::parallel`]'s
+//! work-stealing OS-thread pool ([`ShardedDatabase::run_parallel`] /
+//! [`ShardedDatabase::run_grouped_parallel`]). The loop runs shards in
+//! shard order, unmorselized, and stops at the first failed shard; the pool
+//! morselizes each shard's scan and runs every shard. Merge rules, refusals,
+//! retry policy and the surfaced error (first in shard order) are the
+//! router's, so they are the same under both. Each per-shard attempt
+//! crosses the engine's one entry gate (`Database::gated`).
+//!
+//! # Shard routing
 //!
 //! ```text
 //!              rows of table T (shard key column k)
@@ -34,7 +49,7 @@
 //! # Merge rules
 //!
 //! * **Aggregates** (`SelectAgg`, `JoinAgg`): each shard produces an exact
-//!   [`AggState`] partial ([`Database::run_partial`]); partials merge with
+//!   [`AggState`] partial (`Database::agg_partial`); partials merge with
 //!   integer arithmetic and the final float is rendered once — an N-shard
 //!   answer is bit-identical to the 1-shard answer.
 //! * **Grouped aggregates**: per-key [`AggState`] partials merged in a
@@ -50,9 +65,9 @@
 //!   shard-order-defined. **Updates** broadcast and apply exactly (the
 //!   returned last-value scalar is shard-order-defined under cross-shard
 //!   duplicates); **inserts** route by the shard key.
-//! * **Time**: shards execute sequentially in simulation — no OS threads,
-//!   no scheduling nondeterminism — and the merged wall clock of a
-//!   "parallel" phase is the *max* of per-core cycle deltas
+//! * **Time**: each shard is its own simulated core, so no host schedule —
+//!   sequential loop or thread pool — can perturb a counter; the merged
+//!   wall clock of a "parallel" phase is the *max* of per-core cycle deltas
 //!   ([`wdtg_sim::merge_cores`]), while counters and stall ledgers *sum*.
 //!   `tests/determinism.rs` stays honest: identical builds produce
 //!   cycle-exact, bit-identical merged snapshots.
@@ -65,9 +80,10 @@ use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::exec::partial::AggState;
 use crate::exec::{ExecMode, SelectionMode};
-use crate::fault::{FaultPlan, FaultSite, ResourceBudget, RobustnessStats};
+use crate::fault::{CancelToken, FaultPlan, FaultSite, ResourceBudget, RobustnessStats};
+use crate::parallel::{run_jobs_parallel, ParallelConfig};
 use crate::profiles::JoinAlgo;
-use crate::query::{Query, QueryPredicate, QueryResult};
+use crate::query::{AggSpec, Query, QueryPredicate, QueryResult};
 
 /// How many times the router attempts one shard's sub-query before giving
 /// up (first try + two retries).
@@ -102,7 +118,7 @@ impl RouterStats {
 /// the shard's own simulated core between attempts. Non-transient errors
 /// propagate unchanged; exhaustion surfaces as [`DbError::ShardFailed`]
 /// wrapping the last cause.
-pub(crate) fn run_with_retry<T>(
+fn run_with_retry<T>(
     shard: &mut Database,
     shard_no: usize,
     stats: &mut RouterStats,
@@ -145,7 +161,7 @@ pub(crate) fn run_with_retry<T>(
 /// are never retried: a failed attempt may have partially applied, and a
 /// blind re-run could double-apply its effect — the router surfaces
 /// [`DbError::ShardFailed`] after a single attempt instead.
-pub(crate) fn run_mutation<T>(
+fn run_mutation<T>(
     shard: &mut Database,
     shard_no: usize,
     stats: &mut RouterStats,
@@ -198,12 +214,6 @@ impl ShardedDatabase {
     /// The shards, in routing order (read access for counters/snapshots).
     pub fn shards(&self) -> &[Database] {
         &self.shards
-    }
-
-    /// Mutable access to the shards (stat resets, knob twiddling). Data
-    /// placement must not be changed behind the router's back.
-    pub fn shards_mut(&mut self) -> &mut [Database] {
-        &mut self.shards
     }
 
     /// Selects row-at-a-time or vectorized execution on every shard.
@@ -308,7 +318,7 @@ impl ShardedDatabase {
 
     /// A sharded join is computed shard-locally, which is only correct when
     /// matching rows co-locate: both tables sharded on their join keys.
-    pub(crate) fn check_join_co_partitioning(&self, q: &Query) -> DbResult<()> {
+    fn check_join_co_partitioning(&self, q: &Query) -> DbResult<()> {
         let Query::JoinAgg {
             left,
             right,
@@ -338,26 +348,98 @@ impl ShardedDatabase {
         Ok(())
     }
 
-    /// Runs an aggregate query on every shard and merges the exact partials.
-    /// Each shard's sub-query runs under the router's bounded retry loop.
-    fn run_merged_agg(&mut self, q: &Query, kind: crate::query::AggKind) -> DbResult<QueryResult> {
-        let mut state = AggState::new();
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            let partial = run_with_retry(s, i, &mut self.stats, |db| db.run_partial(q))?;
-            state.merge(&partial);
-        }
-        Ok(state.result(kind))
+    /// The cancellation token shared by every shard (and the database the
+    /// shards were split from). Cloning it onto another thread and calling
+    /// [`CancelToken::cancel`] aborts an in-flight query at its next morsel
+    /// or batch checkpoint on every shard.
+    pub fn cancel_token(&self) -> CancelToken {
+        self.shards[0].cancel_token()
     }
 
-    /// Runs a query across all shards and merges the answer (see the module
-    /// docs for the per-query merge rules). Shards execute sequentially in
-    /// shard order; determinism is inherited from the per-shard simulators.
-    pub fn run(&mut self, q: &Query) -> DbResult<QueryResult> {
+    /// A cancellation that is already pending must imply *zero* mutation
+    /// and no fault draw, so mutating arms check before any shard can apply
+    /// (each shard re-checks at its own gate; a cancel landing
+    /// mid-broadcast is per-shard atomic, already-applied shards stay
+    /// applied).
+    fn refuse_if_cancelled(&self) -> DbResult<()> {
+        if self.cancel_token().is_cancelled() {
+            return Err(DbError::Cancelled);
+        }
+        Ok(())
+    }
+
+    /// Runs `op` once per shard under one of the two schedulers and returns
+    /// the per-shard values in shard order. Router stats of every shard
+    /// that ran merge in shard order, and the first error *in shard order*
+    /// wins, so the surfaced typed error is schedule-independent.
+    ///
+    /// * `None` — the caller's thread, in shard order, stopping at the
+    ///   first failed shard (later shards' cores and fault sequences stay
+    ///   untouched).
+    /// * `Some(cfg)` — [`run_jobs_parallel`]'s work-stealing pool; every
+    ///   shard runs, whatever its neighbours return.
+    fn fan_out<T: Send>(
+        &mut self,
+        par: Option<&ParallelConfig>,
+        op: impl Fn(usize, &mut Database, &mut RouterStats) -> DbResult<T> + Sync,
+    ) -> DbResult<Vec<T>> {
+        let job = |i: usize, db: &mut Database| {
+            let mut st = RouterStats::default();
+            (op(i, db, &mut st), st)
+        };
+        let outs = match par {
+            None => {
+                let mut outs = Vec::with_capacity(self.shards.len());
+                for (i, db) in self.shards.iter_mut().enumerate() {
+                    let out = job(i, db);
+                    let failed = out.0.is_err();
+                    outs.push(out);
+                    if failed {
+                        break;
+                    }
+                }
+                outs
+            }
+            Some(cfg) => run_jobs_parallel(
+                self.shards.iter_mut().collect(),
+                cfg.effective_workers(),
+                cfg.steal_seed,
+                job,
+            ),
+        };
+        let mut values = Vec::with_capacity(outs.len());
+        let mut first_err = None;
+        for (r, st) in outs {
+            self.stats.absorb(&st);
+            match r {
+                Ok(v) => values.push(v),
+                Err(e) => first_err = first_err.or(Some(e)),
+            }
+        }
+        first_err.map_or(Ok(values), Err)
+    }
+
+    /// The one shard router (see the module docs for the per-query merge
+    /// rules and refusals). `par` picks the scheduler ([`Self::fan_out`])
+    /// and, with it, whether each shard's aggregate scan is morselized by
+    /// `cfg.morsel_rows`; nothing else differs between the two.
+    fn route(&mut self, q: &Query, par: Option<&ParallelConfig>) -> DbResult<QueryResult> {
+        let morsel = par.map(|cfg| cfg.morsel_rows);
+        let mut out = QueryResult {
+            value: 0.0,
+            rows: 0,
+        };
         match q {
-            Query::SelectAgg { agg, .. } => self.run_merged_agg(q, agg.kind),
-            Query::JoinAgg { agg, .. } => {
+            Query::SelectAgg { agg, .. } | Query::JoinAgg { agg, .. } => {
                 self.check_join_co_partitioning(q)?;
-                self.run_merged_agg(q, agg.kind)
+                let partials = self.fan_out(par, |i, db, st| {
+                    run_with_retry(db, i, st, |db| db.gated(|db| db.agg_partial(q, morsel)))
+                })?;
+                let mut state = AggState::new();
+                for p in &partials {
+                    state.merge(p);
+                }
+                Ok(state.result(agg.kind))
             }
             Query::PointSelect { .. } => {
                 // Broadcast read. Duplicates of one key value co-locate when
@@ -369,13 +451,8 @@ impl ShardedDatabase {
                 // shard-order- instead of index-order-defined — refuse that
                 // read (the co-partitioning precedent: no silently different
                 // answer) rather than guess.
-                let mut out = QueryResult {
-                    value: 0.0,
-                    rows: 0,
-                };
                 let mut shards_with_matches = 0u32;
-                for (i, s) in self.shards.iter_mut().enumerate() {
-                    let r = run_with_retry(s, i, &mut self.stats, |db| db.run(q))?;
+                for r in self.fan_out(par, |i, db, st| run_with_retry(db, i, st, |db| db.run(q)))? {
                     if r.rows > 0 {
                         shards_with_matches += 1;
                         if out.rows == 0 {
@@ -401,12 +478,8 @@ impl ShardedDatabase {
                 // is the last updated value; under cross-shard duplicate
                 // keys it is the last in shard order rather than index
                 // order — `rows` and the stored data are exact either way.
-                let mut out = QueryResult {
-                    value: 0.0,
-                    rows: 0,
-                };
-                for (i, s) in self.shards.iter_mut().enumerate() {
-                    let r = run_mutation(s, i, &mut self.stats, |db| db.run(q))?;
+                self.refuse_if_cancelled()?;
+                for r in self.fan_out(par, |i, db, st| run_mutation(db, i, st, |db| db.run(q)))? {
                     if r.rows > 0 {
                         out.value = r.value;
                     }
@@ -415,6 +488,8 @@ impl ShardedDatabase {
                 Ok(out)
             }
             Query::InsertRow { table, values } => {
+                // Single-shard route: nothing to fan out.
+                self.refuse_if_cancelled()?;
                 let t = self.shards[0].table(table)?;
                 let col = t.shard_col;
                 if col >= values.len() {
@@ -431,29 +506,74 @@ impl ShardedDatabase {
         }
     }
 
-    /// Runs a grouped aggregation on every shard and merges the per-group
-    /// partials (ascending group order, like [`Database::run_grouped`]).
+    /// The grouped twin of [`Self::route`]: every shard runs its grouped
+    /// sub-query under the bounded retry loop and the per-group exact
+    /// partials merge per key (ascending group order, like
+    /// [`Database::run_grouped`]).
+    fn route_grouped(
+        &mut self,
+        table: &str,
+        group_col: &str,
+        predicate: Option<&QueryPredicate>,
+        agg: &AggSpec,
+        par: Option<&ParallelConfig>,
+    ) -> DbResult<Vec<(i32, f64)>> {
+        let morsel = par.map(|cfg| cfg.morsel_rows);
+        let per_shard = self.fan_out(par, |i, db, st| {
+            run_with_retry(db, i, st, |db| {
+                db.gated(|db| db.grouped_partial(table, group_col, predicate, agg, morsel))
+            })
+        })?;
+        let mut merged: BTreeMap<i32, AggState> = BTreeMap::new();
+        for (k, st) in per_shard.into_iter().flatten() {
+            merged.entry(k).or_default().merge(&st);
+        }
+        Ok(merged
+            .into_iter()
+            .map(|(k, st)| (k, st.value(agg.kind)))
+            .collect())
+    }
+
+    /// Runs a query across all shards on the caller's thread and merges the
+    /// answer: shards execute in shard order, unmorselized, stopping at the
+    /// first failed shard; determinism is inherited from the per-shard
+    /// simulators.
+    pub fn run(&mut self, q: &Query) -> DbResult<QueryResult> {
+        self.route(q, None)
+    }
+
+    /// [`ShardedDatabase::run`] on the work-stealing OS-thread pool
+    /// ([`crate::parallel`]), each shard's aggregate scan morselized by
+    /// `cfg.morsel_rows`. Same merge rules and refusals; answers and merged
+    /// counters are bit-identical for every worker count and steal seed
+    /// (`tests/parallel_equivalence.rs` is the proof).
+    pub fn run_parallel(&mut self, q: &Query, cfg: &ParallelConfig) -> DbResult<QueryResult> {
+        self.route(q, Some(cfg))
+    }
+
+    /// Runs a grouped aggregation on every shard, sequentially, and merges
+    /// the per-group partials.
     pub fn run_grouped(
         &mut self,
         table: &str,
         group_col: &str,
         predicate: Option<&QueryPredicate>,
-        agg: &crate::query::AggSpec,
+        agg: &AggSpec,
     ) -> DbResult<Vec<(i32, f64)>> {
-        let kind = agg.kind;
-        let mut merged: BTreeMap<i32, AggState> = BTreeMap::new();
-        for (i, s) in self.shards.iter_mut().enumerate() {
-            let partials = run_with_retry(s, i, &mut self.stats, |db| {
-                db.run_grouped_partial(table, group_col, predicate, agg)
-            })?;
-            for (k, st) in partials {
-                merged.entry(k).or_default().merge(&st);
-            }
-        }
-        Ok(merged
-            .into_iter()
-            .map(|(k, st)| (k, st.value(kind)))
-            .collect())
+        self.route_grouped(table, group_col, predicate, agg, None)
+    }
+
+    /// [`ShardedDatabase::run_grouped`] on the work-stealing pool,
+    /// morselized; bit-identical for every schedule.
+    pub fn run_grouped_parallel(
+        &mut self,
+        table: &str,
+        group_col: &str,
+        predicate: Option<&QueryPredicate>,
+        agg: &AggSpec,
+        cfg: &ParallelConfig,
+    ) -> DbResult<Vec<(i32, f64)>> {
+        self.route_grouped(table, group_col, predicate, agg, Some(cfg))
     }
 }
 

@@ -9,7 +9,7 @@
 //!        │ parse (parser.rs)       Statement AST
 //!        │ bind (bind.rs)          BoundStatement over the catalog
 //!        │ plan (plan.rs)          pilot-simulated candidate costs
-//!        ▼ execute (session.rs)    chosen knobs → Database::dispatch
+//!        ▼ execute (session.rs)    chosen knobs → Database::run (one gate)
 //! ```
 //!
 //! The dialect covers exactly what the executor runs: single-table

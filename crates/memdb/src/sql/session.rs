@@ -41,11 +41,16 @@ enum Backend {
 /// and the report of the last planning decision. Aggregate queries are
 /// physically planned on first sight — every knob candidate is costed on a
 /// sampled pilot run of the cycle simulator (see [`crate::sql::plan`]) —
-/// and the winning configuration is cached and re-applied on repeats.
-/// Point reads and mutations have no physical choice and bypass planning.
+/// and the winning configuration is cached and re-applied on repeats,
+/// until a bulk load, a new table or a new index changes what it was
+/// costed against (single-row SQL `INSERT`s do not; see
+/// `Database::catalog_epoch`). Point reads and mutations have no physical
+/// choice and bypass planning.
 pub struct Session {
     backend: Backend,
     plans: HashMap<String, Option<PhysicalConfig>>,
+    /// The planning database's catalog epoch `plans` was filled under.
+    plans_epoch: u64,
     last_report: Option<PlanReport>,
     /// The open transaction statements are routed through, if any.
     current: Option<TxnId>,
@@ -54,12 +59,7 @@ pub struct Session {
 impl Session {
     /// Opens a session over a single-core database.
     pub fn open(db: Database) -> Session {
-        Session {
-            backend: Backend::Single(Box::new(db)),
-            plans: HashMap::new(),
-            last_report: None,
-            current: None,
-        }
+        Session::over(Backend::Single(Box::new(db)))
     }
 
     /// Opens a session over a sharded database. Planning runs against
@@ -67,9 +67,14 @@ impl Session {
     /// (per-shard partition sizes are what the join actually runs over),
     /// and the chosen knobs are applied to every shard.
     pub fn open_sharded(db: ShardedDatabase) -> Session {
+        Session::over(Backend::Sharded(Box::new(db)))
+    }
+
+    fn over(backend: Backend) -> Session {
         Session {
-            backend: Backend::Sharded(Box::new(db)),
+            backend,
             plans: HashMap::new(),
+            plans_epoch: 0,
             last_report: None,
             current: None,
         }
@@ -88,22 +93,6 @@ impl Session {
         match &mut self.backend {
             Backend::Single(db) => Some(db),
             Backend::Sharded(_) => None,
-        }
-    }
-
-    /// The underlying sharded database, if this session is sharded.
-    pub fn sharded(&self) -> Option<&ShardedDatabase> {
-        match &self.backend {
-            Backend::Sharded(db) => Some(db),
-            Backend::Single(_) => None,
-        }
-    }
-
-    /// Mutable access to the sharded database.
-    pub fn sharded_mut(&mut self) -> Option<&mut ShardedDatabase> {
-        match &mut self.backend {
-            Backend::Sharded(db) => Some(db),
-            Backend::Single(_) => None,
         }
     }
 
@@ -133,10 +122,21 @@ impl Session {
         }
     }
 
+    /// The plan cache, emptied first if the planning database's catalog
+    /// epoch moved since it was filled.
+    fn fresh_plans(&mut self) -> &mut HashMap<String, Option<PhysicalConfig>> {
+        let epoch = self.plan_db().catalog_epoch;
+        if epoch != self.plans_epoch {
+            self.plans.clear();
+            self.plans_epoch = epoch;
+        }
+        &mut self.plans
+    }
+
     /// Plans `stmt` (or reuses the cached choice) and applies the winning
-    /// knobs to the backend. Returns whether the statement was planned.
+    /// knobs to every database of the backend.
     fn plan_and_apply(&mut self, text: &str, stmt: &BoundStatement) -> DbResult<()> {
-        let config = match self.plans.get(text) {
+        let config = match self.fresh_plans().get(text) {
             Some(cached) => *cached,
             None => {
                 let report = plan(self.plan_db(), text, stmt)?;
@@ -151,15 +151,7 @@ impl Session {
         if let Some(config) = config {
             match &mut self.backend {
                 Backend::Single(db) => config.apply(db),
-                Backend::Sharded(db) => {
-                    db.set_exec_mode(config.exec_mode);
-                    if let Some(s) = config.selection_mode {
-                        db.set_selection_mode(s);
-                    }
-                    if let Some(j) = config.join_algo {
-                        db.set_join_algo(j);
-                    }
-                }
+                Backend::Sharded(db) => db.shards.iter_mut().for_each(|s| config.apply(s)),
             }
         }
         Ok(())
@@ -172,26 +164,24 @@ impl Session {
     /// [`DbError::PlanError`] for them.
     pub fn sql(&mut self, text: &str) -> DbResult<QueryResult> {
         let stmt = compile(self.plan_db(), text)?;
-        match stmt {
-            BoundStatement::Scalar(q) => {
-                self.plan_and_apply(text, &BoundStatement::Scalar(q.clone()))?;
-                // An open transaction captures point reads and mutations:
-                // reads see the snapshot (plus the session's own staged
-                // writes), mutations stage until COMMIT. Aggregates have no
-                // snapshot-aware path and keep running in autocommit.
-                let routed = matches!(
-                    q,
-                    Query::PointSelect { .. } | Query::UpdateAdd { .. } | Query::InsertRow { .. }
-                );
-                match (&mut self.backend, self.current) {
-                    (Backend::Single(db), Some(tid)) if routed => db.txn_run(tid, &q),
-                    (Backend::Single(db), _) => db.run(&q),
-                    (Backend::Sharded(db), _) => db.run(&q),
-                }
-            }
-            BoundStatement::Grouped { .. } => Err(DbError::PlanError(
+        let BoundStatement::Scalar(q) = &stmt else {
+            return Err(DbError::PlanError(
                 "grouped query returns per-group rows; use Session::sql_grouped".into(),
-            )),
+            ));
+        };
+        self.plan_and_apply(text, &stmt)?;
+        // An open transaction captures point reads and mutations: reads
+        // see the snapshot (plus the session's own staged writes),
+        // mutations stage until COMMIT. Aggregates have no snapshot-aware
+        // path and keep running in autocommit.
+        let routed = matches!(
+            q,
+            Query::PointSelect { .. } | Query::UpdateAdd { .. } | Query::InsertRow { .. }
+        );
+        match (&mut self.backend, self.current) {
+            (Backend::Single(db), Some(tid)) if routed => db.txn_run(tid, q),
+            (Backend::Single(db), _) => db.run(q),
+            (Backend::Sharded(db), _) => db.run(q),
         }
     }
 
@@ -204,25 +194,17 @@ impl Session {
             group_col,
             predicate,
             agg,
-        } = stmt
+        } = &stmt
         else {
             return Err(DbError::PlanError(
                 "statement is not grouped; use Session::sql".into(),
             ));
         };
-        self.plan_and_apply(
-            text,
-            &BoundStatement::Grouped {
-                table: table.clone(),
-                group_col: group_col.clone(),
-                predicate: predicate.clone(),
-                agg: agg.clone(),
-            },
-        )?;
+        self.plan_and_apply(text, &stmt)?;
         let pred: Option<&QueryPredicate> = predicate.as_ref();
         match &mut self.backend {
-            Backend::Single(db) => db.run_grouped(&table, &group_col, pred, &agg),
-            Backend::Sharded(db) => db.run_grouped(&table, &group_col, pred, &agg),
+            Backend::Single(db) => db.run_grouped(table, group_col, pred, agg),
+            Backend::Sharded(db) => db.run_grouped(table, group_col, pred, agg),
         }
     }
 
@@ -238,7 +220,7 @@ impl Session {
         match plan(self.plan_db(), text, &stmt)? {
             Some(report) => {
                 let rendered = report.render();
-                self.plans
+                self.fresh_plans()
                     .insert(text.to_string(), Some(report.chosen().config));
                 self.last_report = Some(report);
                 Ok(rendered)

@@ -40,10 +40,9 @@ use std::sync::Arc;
 
 use wdtg_sim::{segment, MemDep};
 
-use crate::db::{catch_internal, fetch_record, store_record_fields, Database};
+use crate::db::{fetch_record, store_record_fields, Database};
 use crate::error::{DbError, DbResult};
 use crate::exec::indexscan::descend_to_leaf;
-use crate::exec::ExecEnv;
 use crate::fault::FaultSite;
 use crate::heap::{Rid, HDR_NRECS, PAGE_SIZE};
 use crate::index::btree::NODE_SIZE;
@@ -345,25 +344,21 @@ impl Database {
     /// snapshot-aware path and are rejected with [`DbError::PlanError`] —
     /// run them in autocommit.
     pub fn txn_run(&mut self, txn: TxnId, q: &Query) -> DbResult<QueryResult> {
-        self.ctx.begin_query();
-        if self.ctx.cancel.is_cancelled() {
-            return Err(DbError::Cancelled);
-        }
-        catch_internal(|| match q {
+        self.gated(|db| match q {
             Query::PointSelect {
                 table,
                 key_col,
                 key,
                 read_col,
-            } => self.txn_point_select(txn, table, key_col, *key, read_col),
+            } => db.txn_point_select(txn, table, key_col, *key, read_col),
             Query::UpdateAdd {
                 table,
                 key_col,
                 key,
                 set_col,
                 delta,
-            } => self.txn_update_add(txn, table, key_col, *key, set_col, *delta),
-            Query::InsertRow { table, values } => self.txn_insert_row(txn, table, values.clone()),
+            } => db.txn_update_add(txn, table, key_col, *key, set_col, *delta),
+            Query::InsertRow { table, values } => db.txn_insert_row(txn, table, values.clone()),
             Query::SelectAgg { .. } | Query::JoinAgg { .. } => Err(DbError::PlanError(
                 "aggregate queries are not snapshot-aware; run them in autocommit".into(),
             )),
@@ -474,17 +469,25 @@ impl Database {
     // Snapshot reads
     // ------------------------------------------------------------------
 
-    fn txn_point_select(
+    /// The prologue both in-transaction point operations share: resolves
+    /// the transaction's snapshot, the index on `table.key_col` and the
+    /// ordinal of `table.col`, then walks the index collecting the rid of
+    /// every entry equal to `key` *before* any record is fetched (the
+    /// autocommit twins in [`crate::db`] interleave walk and fetch — a
+    /// different access stream, so the two pairs must not share this).
+    /// Returns the table, key-column and `col` ordinals, the snapshot
+    /// timestamp and the packed rids in index order.
+    fn txn_locate(
         &mut self,
         txn: TxnId,
         table: &str,
         key_col: &str,
         key: i32,
-        read_col: &str,
-    ) -> DbResult<QueryResult> {
+        col: &str,
+    ) -> DbResult<(usize, usize, usize, u64, Vec<u64>)> {
         let ti = self.table_idx(table)?;
         let kc = self.tables[ti].schema.col(key_col)?;
-        let rc = self.tables[ti].schema.col(read_col)?;
+        let col = self.tables[ti].schema.col(col)?;
         let snap = self
             .txn
             .active
@@ -496,29 +499,28 @@ impl Database {
             .ok_or_else(|| DbError::IndexNotFound(format!("{table}.{key_col}")))?;
         let btree = ix.btree.clone();
         let blocks = Arc::clone(&self.profile.blocks);
-
-        let rids = {
-            let Database {
-                ctx,
-                bufpool,
-                exec_mode,
-                ..
-            } = self;
-            let mut env = ExecEnv {
-                ctx,
-                bufpool,
-                mode: *exec_mode,
-            };
-            let mut cursor = descend_to_leaf(&mut env, &btree, key, &blocks);
-            let mut rids = Vec::new();
-            while let Some((k, rid)) = cursor.next_entry(&mut env, &blocks) {
-                if k != key {
-                    break;
-                }
-                rids.push(rid);
+        let mut env = self.env();
+        let mut cursor = descend_to_leaf(&mut env, &btree, key, &blocks);
+        let mut rids = Vec::new();
+        while let Some((k, rid)) = cursor.next_entry(&mut env, &blocks) {
+            if k != key {
+                break;
             }
-            rids
-        };
+            rids.push(rid);
+        }
+        Ok((ti, kc, col, snap, rids))
+    }
+
+    fn txn_point_select(
+        &mut self,
+        txn: TxnId,
+        table: &str,
+        key_col: &str,
+        key: i32,
+        read_col: &str,
+    ) -> DbResult<QueryResult> {
+        let (ti, kc, rc, snap, rids) = self.txn_locate(txn, table, key_col, key, read_col)?;
+        let blocks = Arc::clone(&self.profile.blocks);
 
         let mut value = 0f64;
         let mut rows = 0u64;
@@ -583,17 +585,7 @@ impl Database {
             // Heap holds the visible version: the normal instrumented path.
             let heap = self.tables[ti].heap.clone();
             let rid = Rid::unpack(rid_packed);
-            let Database {
-                ctx,
-                bufpool,
-                exec_mode,
-                ..
-            } = self;
-            let mut env = ExecEnv {
-                ctx,
-                bufpool,
-                mode: *exec_mode,
-            };
+            let mut env = self.env();
             let frame = fetch_record(&mut env, &heap, rid, blocks)?;
             let v = env
                 .ctx
@@ -637,43 +629,8 @@ impl Database {
         set_col: &str,
         delta: i32,
     ) -> DbResult<QueryResult> {
-        let ti = self.table_idx(table)?;
-        let kc = self.tables[ti].schema.col(key_col)?;
-        let sc = self.tables[ti].schema.col(set_col)?;
-        let snap = self
-            .txn
-            .active
-            .get(&txn.0)
-            .ok_or(DbError::TxnUnknown { txn: txn.0 })?
-            .snap;
-        let ix = self
-            .index_on(ti, kc)
-            .ok_or_else(|| DbError::IndexNotFound(format!("{table}.{key_col}")))?;
-        let btree = ix.btree.clone();
+        let (ti, _, sc, snap, rids) = self.txn_locate(txn, table, key_col, key, set_col)?;
         let blocks = Arc::clone(&self.profile.blocks);
-
-        let rids = {
-            let Database {
-                ctx,
-                bufpool,
-                exec_mode,
-                ..
-            } = &mut *self;
-            let mut env = ExecEnv {
-                ctx,
-                bufpool,
-                mode: *exec_mode,
-            };
-            let mut cursor = descend_to_leaf(&mut env, &btree, key, &blocks);
-            let mut rids = Vec::new();
-            while let Some((k, rid)) = cursor.next_entry(&mut env, &blocks) {
-                if k != key {
-                    break;
-                }
-                rids.push(rid);
-            }
-            rids
-        };
 
         // Compute every new value before staging any, so an overflow
         // mid-statement stages nothing.
@@ -954,20 +911,7 @@ impl Database {
         for i in maintained {
             let key = values[self.indexes[i].col];
             let btree_snapshot = self.indexes[i].btree.clone();
-            {
-                let Database {
-                    ctx,
-                    bufpool,
-                    exec_mode,
-                    ..
-                } = &mut *self;
-                let mut env = ExecEnv {
-                    ctx,
-                    bufpool,
-                    mode: *exec_mode,
-                };
-                let _ = descend_to_leaf(&mut env, &btree_snapshot, key, blocks);
-            }
+            let _ = descend_to_leaf(&mut self.env(), &btree_snapshot, key, blocks);
             self.indexes[i]
                 .btree
                 .insert(&mut self.ctx.index, key, rid.pack());

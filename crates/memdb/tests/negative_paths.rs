@@ -246,21 +246,6 @@ fn tight_arena_budget_downgrades_partitioned_join_instead_of_failing() {
     assert!(db.robustness_stats().budget_stops >= 1);
 }
 
-#[test]
-fn run_partial_rejects_point_operations() {
-    let mut db = db();
-    let q = Query::PointSelect {
-        table: "R".into(),
-        key_col: "a1".into(),
-        key: 1,
-        read_col: "a3".into(),
-    };
-    match db.run_partial(&q) {
-        Err(DbError::PlanError(_)) => {}
-        other => panic!("expected PlanError, got {other:?}"),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // SQL frontend: malformed statements come back as typed errors with byte
 // spans and a source snippet, never as a panic.
