@@ -113,5 +113,39 @@ fn bench_ifetch(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_cache, bench_branch, bench_cpu, bench_ifetch);
+/// The fixed cost of a block call, everything in `exec_block` but fetch
+/// misses: blocks the sizes of a row operator's inner step and of a scan's
+/// per-page path, both L1I-resident after the first calls, so what is left
+/// is the phase rotation, the hit-run over the path, the pipeline charges
+/// and the up to eight private-data and branch probes. One element is one
+/// call, so host ns/call is 1e9 / the printed rate.
+fn bench_exec_block(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim/exec_block");
+    g.throughput(Throughput::Elements(1024));
+    for (id, path_bytes) in [("resident_300B", 300u32), ("scan_3600B", 3600)] {
+        let block = CodeBlock::builder("bench", path_bytes)
+            .private(segment::PRIVATE, 4096)
+            .at(segment::CODE);
+        g.bench_function(id, |b| {
+            let mut cpu =
+                Cpu::new(CpuConfig::pentium_ii_xeon().with_interrupts(InterruptCfg::disabled()));
+            b.iter(|| {
+                for _ in 0..1024 {
+                    cpu.exec_block(&block);
+                }
+                cpu.cycles()
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_cache,
+    bench_branch,
+    bench_cpu,
+    bench_ifetch,
+    bench_exec_block
+);
 criterion_main!(benches);

@@ -1362,10 +1362,11 @@ impl Database {
         })
     }
 
-    /// All rows of table `ti`, read raw (uninstrumented) in heap order.
-    /// Used by [`Database::shard`] to re-partition loaded data and by the
-    /// SQL planner ([`crate::sql`]) to build its pilot databases.
-    pub(crate) fn table_rows(&self, ti: usize) -> DbResult<Vec<Vec<i32>>> {
+    /// The first `limit` rows of table `ti` (all of them for
+    /// `usize::MAX`), read raw (uninstrumented) in heap order. Used by
+    /// [`Database::shard`] to re-partition loaded data and by the SQL
+    /// planner ([`crate::sql`]) to build its pilot databases from a prefix.
+    pub(crate) fn table_rows(&self, ti: usize, limit: usize) -> DbResult<Vec<Vec<i32>>> {
         let t = &self.tables[ti];
         let arity = t.schema.arity();
         let mut rows = Vec::new();
@@ -1373,6 +1374,9 @@ impl Database {
             let page = t.heap.page_addr(page_no)?;
             let nrecs = self.ctx.heap.read_i32(page + HDR_NRECS) as u32;
             for slot in 0..nrecs {
+                if rows.len() == limit {
+                    return Ok(rows);
+                }
                 let mut row = Vec::with_capacity(arity);
                 for c in 0..arity {
                     row.push(self.ctx.heap.read_i32(t.heap.field_addr_at(page, slot, c)));
@@ -1427,7 +1431,7 @@ impl Database {
             .collect();
         for (ti, t) in self.tables.iter().enumerate() {
             let mut routed: Vec<Vec<Vec<i32>>> = vec![Vec::new(); n];
-            for row in self.table_rows(ti)? {
+            for row in self.table_rows(ti, usize::MAX)? {
                 routed[shard_of(row[t.shard_col], n)].push(row);
             }
             for (s, part) in shards.iter_mut().zip(routed) {

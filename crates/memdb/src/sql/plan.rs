@@ -275,6 +275,17 @@ fn pick(cands: &[CandidateCost]) -> usize {
     best
 }
 
+/// Whether [`plan`] has a physical choice to make for `stmt`: aggregates,
+/// joins and grouped queries, not point reads or mutations. Cheap, so a
+/// caller can tell before it spends anything on a statement's text.
+pub(crate) fn plannable(stmt: &BoundStatement) -> bool {
+    matches!(
+        stmt,
+        BoundStatement::Grouped { .. }
+            | BoundStatement::Scalar(Query::SelectAgg { .. } | Query::JoinAgg { .. })
+    )
+}
+
 /// Plans a bound statement against `db`. Returns `None` for statements with
 /// no physical choice to make (point reads and mutations run as-is).
 pub(crate) fn plan(
@@ -332,11 +343,9 @@ fn plan_scan(
     grouped: Option<(&str, &AggSpec)>,
 ) -> DbResult<PlanReport> {
     let ti = db.table_idx(table)?;
-    let rows = db.table_rows(ti)?;
-    let full = rows.len();
-    let n = full.clamp(1, PILOT_SCAN_ROWS);
-    let prefix = &rows[..full.min(n)];
-    let mut pilot = pilot_db(db, &[(table, prefix)])?;
+    let full = db.table(table)?.heap.n_records as usize;
+    let prefix = db.table_rows(ti, PILOT_SCAN_ROWS)?;
+    let mut pilot = pilot_db(db, &[(table, &prefix[..])])?;
     let factor = full as f64 / prefix.len().max(1) as f64;
 
     let mut candidates = Vec::new();
@@ -396,9 +405,9 @@ fn plan_join(db: &Database, sql: &str, q: &Query) -> DbResult<PlanReport> {
     };
     let li = db.table_idx(left)?;
     let ri = db.table_idx(right)?;
-    let probe_rows = db.table_rows(li)?;
-    let build_rows = db.table_rows(ri)?;
-    let full = probe_rows.len();
+    let probe_rows = db.table_rows(li, PILOT_PROBE_ROWS.1)?;
+    let build_rows = db.table_rows(ri, usize::MAX)?;
+    let full = db.table(left)?.heap.n_records as usize;
 
     // Full build side, two probe prefixes: the hash table the pilot builds
     // is the real one, so its (non-)residency in L2 — the crossover the

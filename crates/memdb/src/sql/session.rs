@@ -27,7 +27,7 @@ use crate::shard::ShardedDatabase;
 use crate::txn::TxnId;
 
 use super::bind::{compile, BoundStatement};
-use super::plan::{plan, PhysicalConfig, PlanReport};
+use super::plan::{plan, plannable, PhysicalConfig, PlanReport};
 
 /// The engine behind a session: one simulated core, or a sharded router.
 enum Backend {
@@ -48,7 +48,7 @@ enum Backend {
 /// choice and bypass planning.
 pub struct Session {
     backend: Backend,
-    plans: HashMap<String, Option<PhysicalConfig>>,
+    plans: HashMap<String, PhysicalConfig>,
     /// The planning database's catalog epoch `plans` was filled under.
     plans_epoch: u64,
     last_report: Option<PlanReport>,
@@ -124,7 +124,7 @@ impl Session {
 
     /// The plan cache, emptied first if the planning database's catalog
     /// epoch moved since it was filled.
-    fn fresh_plans(&mut self) -> &mut HashMap<String, Option<PhysicalConfig>> {
+    fn fresh_plans(&mut self) -> &mut HashMap<String, PhysicalConfig> {
         let epoch = self.plan_db().catalog_epoch;
         if epoch != self.plans_epoch {
             self.plans.clear();
@@ -134,25 +134,29 @@ impl Session {
     }
 
     /// Plans `stmt` (or reuses the cached choice) and applies the winning
-    /// knobs to every database of the backend.
+    /// knobs to every database of the backend. A statement with nothing to
+    /// plan returns before the cache is looked at: an OLTP client's point
+    /// statements differ in their literal keys, and a cache keyed by text
+    /// would keep one entry for each of them.
     fn plan_and_apply(&mut self, text: &str, stmt: &BoundStatement) -> DbResult<()> {
+        if !plannable(stmt) {
+            return Ok(());
+        }
         let config = match self.fresh_plans().get(text) {
-            Some(cached) => *cached,
+            Some(&cached) => cached,
             None => {
-                let report = plan(self.plan_db(), text, stmt)?;
-                let config = report.as_ref().map(|r| r.chosen().config);
-                if let Some(r) = report {
-                    self.last_report = Some(r);
-                }
+                let Some(report) = plan(self.plan_db(), text, stmt)? else {
+                    return Ok(());
+                };
+                let config = report.chosen().config;
+                self.last_report = Some(report);
                 self.plans.insert(text.to_string(), config);
                 config
             }
         };
-        if let Some(config) = config {
-            match &mut self.backend {
-                Backend::Single(db) => config.apply(db),
-                Backend::Sharded(db) => db.shards.iter_mut().for_each(|s| config.apply(s)),
-            }
+        match &mut self.backend {
+            Backend::Single(db) => config.apply(db),
+            Backend::Sharded(db) => db.shards.iter_mut().for_each(|s| config.apply(s)),
         }
         Ok(())
     }
@@ -221,7 +225,7 @@ impl Session {
             Some(report) => {
                 let rendered = report.render();
                 self.fresh_plans()
-                    .insert(text.to_string(), Some(report.chosen().config));
+                    .insert(text.to_string(), report.chosen().config);
                 self.last_report = Some(report);
                 Ok(rendered)
             }
@@ -298,5 +302,47 @@ impl Session {
                 "grouped statement has no scalar Query form".into(),
             )),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EngineProfile, Schema, SystemId};
+    use wdtg_sim::{CpuConfig, InterruptCfg};
+
+    #[test]
+    fn point_statements_stay_out_of_the_plan_cache() {
+        let cfg = CpuConfig::pentium_ii_xeon().with_interrupts(InterruptCfg::disabled());
+        let mut db = Database::new(EngineProfile::system(SystemId::C), cfg);
+        db.create_table("R", Schema::paper_relation(20)).unwrap();
+        db.load_rows("R", (0..4000).map(|i| vec![i, i % 97, i % 13, 0, 0]))
+            .unwrap();
+        db.create_index("R", "a1").unwrap();
+        let mut sess = Session::open(db);
+
+        const SCAN: &str = "SELECT AVG(a3) FROM R WHERE a2 > 10 AND a2 < 40";
+        let answer = sess.sql(SCAN).unwrap();
+        assert_eq!(sess.plans.len(), 1);
+
+        // An OLTP client with literal keys: every statement text is new.
+        for i in 0..10_000 {
+            let key = i % 4000;
+            let text = match i % 3 {
+                0 => format!("SELECT a3 FROM R WHERE a1 = {key}"),
+                1 => format!("UPDATE R SET a4 = a4 + {i} WHERE a1 = {key}"),
+                _ => format!("INSERT INTO R VALUES ({}, 500, 0, 0, 0)", 4000 + i),
+            };
+            sess.sql(&text).unwrap();
+        }
+        assert_eq!(sess.plans.len(), 1, "only the aggregate is worth caching");
+
+        // A cache hit does not plan, so it leaves no report behind.
+        sess.last_report = None;
+        assert_eq!(sess.sql(SCAN).unwrap(), answer);
+        assert!(
+            sess.last_plan().is_none(),
+            "the aggregate was planned again"
+        );
     }
 }

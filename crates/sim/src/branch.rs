@@ -12,6 +12,7 @@
 //! counter in a shared pattern history table.
 
 use crate::config::BtbGeom;
+use crate::modulo;
 
 /// Result of executing one branch through the prediction hardware.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,21 +58,22 @@ impl BranchUnit {
     #[inline]
     fn set_of(&self, addr: u64) -> u32 {
         // Branch instructions are at least 2 bytes apart; drop the low bit.
-        ((addr >> 1) % self.sets as u64) as u32
+        modulo(addr >> 1, self.sets as u64) as u32
     }
 
     #[inline]
     fn pht_index(&self, addr: u64, history: u8) -> usize {
         let h = ((addr >> 1) << self.geom.history_bits) | history as u64;
-        (h % self.geom.pattern_entries as u64) as usize
+        modulo(h, self.geom.pattern_entries as u64) as usize
     }
 
-    /// Finds the BTB way holding `addr`, if any.
-    fn find(&self, addr: u64) -> Option<usize> {
+    /// Finds `addr` in the BTB: the index of its set's way 0, and the way
+    /// holding it, if any.
+    #[inline]
+    fn find(&self, addr: u64) -> (usize, Option<usize>) {
         let base = (self.set_of(addr) * self.geom.assoc) as usize;
-        (0..self.geom.assoc as usize)
-            .find(|&w| self.tags[base + w] == addr)
-            .map(|w| base + w)
+        let set = &self.tags[base..base + self.geom.assoc as usize];
+        (base, set.iter().position(|&tag| tag == addr))
     }
 
     fn touch(&mut self, base: usize, way: usize) {
@@ -84,8 +86,7 @@ impl BranchUnit {
         self.lru[base + way] = 0;
     }
 
-    fn allocate(&mut self, addr: u64, first_direction: bool) {
-        let base = (self.set_of(addr) * self.geom.assoc) as usize;
+    fn allocate(&mut self, base: usize, addr: u64, first_direction: bool) {
         let assoc = self.geom.assoc as usize;
         let mut victim = 0;
         let mut rank = 0;
@@ -113,9 +114,8 @@ impl BranchUnit {
     /// a BTB miss (backward ⇒ predicted taken).
     pub fn execute(&mut self, addr: u64, taken: bool, backward: bool) -> BranchOutcome {
         match self.find(addr) {
-            Some(idx) => {
-                let base = idx - idx % self.geom.assoc as usize;
-                let way = idx % self.geom.assoc as usize;
+            (base, Some(way)) => {
+                let idx = base + way;
                 let history = self.hist[idx] & self.history_mask;
                 let pi = self.pht_index(addr, history);
                 let counter = self.pht[pi];
@@ -133,11 +133,11 @@ impl BranchUnit {
                     mispredicted: predicted_taken != taken,
                 }
             }
-            None => {
+            (base, None) => {
                 let predicted_taken = backward;
                 // The Pentium II allocates BTB entries for taken branches.
                 if taken {
-                    self.allocate(addr, taken);
+                    self.allocate(base, addr, taken);
                 }
                 BranchOutcome {
                     btb_hit: false,
@@ -155,15 +155,13 @@ impl BranchUnit {
     /// ≈50% BTB miss rates, §5.3).
     pub fn probe(&mut self, addr: u64, mostly_taken: bool) -> bool {
         match self.find(addr) {
-            Some(idx) => {
-                let base = idx - idx % self.geom.assoc as usize;
-                let way = idx % self.geom.assoc as usize;
+            (base, Some(way)) => {
                 self.touch(base, way);
                 true
             }
-            None => {
+            (base, None) => {
                 if mostly_taken {
-                    self.allocate(addr, true);
+                    self.allocate(base, addr, true);
                 }
                 false
             }

@@ -37,7 +37,11 @@
 //! a hit is a tag scan plus one store, the LRU way is the valid way with the
 //! smallest stamp, and a touch rewrites no other way's state. Every demand
 //! entry point — single line, contiguous run, the instruction-fetch walk in
-//! [`crate::cpu::Cpu`] — goes through the one loop in `Cache::hit_run`.
+//! [`crate::cpu::Cpu`] — goes through the one loop in `Cache::hit_run`, with
+//! one exception that reads and writes no set at all: `Cache::miss_run`
+//! accounts for a stretch of sequential lines the caller has proved must
+//! miss *and* be evicted again before anything can observe them, by
+//! advancing `clock` and the statistics alone.
 //!
 //! Stall *cycles* for misses are charged by the [`crate::cpu::Cpu`] into the
 //! [`crate::stalls::StallLedger`]; this module only decides hit or miss.
@@ -237,6 +241,36 @@ impl Cache {
         }
         self.accesses += line - first_line;
         None
+    }
+
+    /// Accounts for `lines` demand accesses that all miss, without touching a
+    /// set: `clock` and the statistics end up where `lines` calls of
+    /// [`Cache::access_line`] would leave them, the sets where they were.
+    ///
+    /// That equals the real walk only under the caller's proof, which for a
+    /// sequential run of reads with no install or invalidation in between
+    /// is short. A line at least [`Cache::capacity_lines`] into the
+    /// run misses, because the `assoc` earlier lines of the run that share
+    /// its set are by then the set's whole content. And a fill at least that
+    /// far from the run's end is gone by the end, because `assoc` later
+    /// lines of the run miss into its set and each evicts an older stamp
+    /// than any of theirs. So for a run longer than twice the capacity, the
+    /// lines between the first and the last `capacity_lines()` may be
+    /// skipped here and the two ends walked through `hit_run`: the last
+    /// stretch finds other tags in the ways than the real walk would, but
+    /// misses on every line either way and leaves each set holding the same
+    /// lines under the same stamps — all that a later access can tell.
+    #[inline]
+    pub(crate) fn miss_run(&mut self, lines: u64) {
+        self.clock += 2 * lines;
+        self.accesses += lines;
+        self.misses += lines;
+    }
+
+    /// Lines the cache holds when full (`sets × assoc`).
+    #[inline]
+    pub(crate) fn capacity_lines(&self) -> u64 {
+        (self.set_mask + 1) * self.assoc as u64
     }
 
     /// Contiguous-run entry point: accesses `lines` sequential line

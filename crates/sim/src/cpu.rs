@@ -16,8 +16,9 @@ use crate::cache::Cache;
 use crate::config::CpuConfig;
 use crate::events::{CounterFile, Event, Mode};
 use crate::mem::segment;
+use crate::modulo;
 use crate::pipeline::{block_cost, BranchSite, CodeBlock};
-use crate::stalls::{Component, StallLedger};
+use crate::stalls::{add_repeated, Component, StallLedger};
 use crate::tlb::Tlb;
 
 /// Cycles of an isolated demand L2 data miss hidden by the out-of-order
@@ -155,6 +156,9 @@ pub struct Cpu {
     /// Routes instruction fetch through the per-line reference walk.
     #[cfg(test)]
     per_line_ifetch: bool,
+    /// Fetch runs whose middle went through the known-miss lane.
+    #[cfg(test)]
+    known_miss_runs: u64,
 }
 
 impl Cpu {
@@ -203,6 +207,8 @@ impl Cpu {
             run_miss_buf: Vec::with_capacity(64),
             #[cfg(test)]
             per_line_ifetch: false,
+            #[cfg(test)]
+            known_miss_runs: 0,
             cfg,
         }
     }
@@ -291,6 +297,40 @@ impl Cpu {
         self.bump_frac(Event::IfuMemStall, cycles);
     }
 
+    /// `times` fetch stalls of `cycles` each, leaving every counter, residue
+    /// and clock bit-for-bit where `times` calls of [`Cpu::charge_ifu`] would.
+    ///
+    /// The first stall is one such call. For a whole `cycles >= 1.0` the rest
+    /// are paid together. A `bump_frac` of such an amount leaves a residue
+    /// below 1 that is a multiple of `ulp(cycles)`, so every later one adds
+    /// exactly `cycles` to its counter and the residue back where it was:
+    /// the two counters take one integer bump. The three `f64` accumulators
+    /// take one addition each where [`add_repeated`] can show it rounds as
+    /// the repeated ones would, and the repeated ones where it cannot.
+    fn charge_ifu_repeated(&mut self, component: Component, cycles: f64, times: u64) {
+        if times == 0 {
+            return;
+        }
+        self.charge_ifu(component, cycles);
+        let rest = times - 1;
+        // The upper bound keeps `ulp(cycles)` far below 1 and the integer
+        // product below in range; a penalty is a `u32` of cycles.
+        if cycles.fract() != 0.0 || !(1.0..=u32::MAX as f64).contains(&cycles) {
+            for _ in 0..rest {
+                self.charge_ifu(component, cycles);
+            }
+            return;
+        }
+        let mode = self.mode as usize;
+        self.ledger
+            .charge_repeated(self.mode, component, cycles, rest);
+        self.cycles = add_repeated(self.cycles, cycles, rest);
+        self.cycles_by_mode[mode] = add_repeated(self.cycles_by_mode[mode], cycles, rest);
+        let whole = cycles as u64 * rest;
+        self.bump(Event::CpuClkUnhalted, whole);
+        self.bump(Event::IfuMemStall, whole);
+    }
+
     #[inline]
     fn bump(&mut self, event: Event, n: u64) {
         self.counters.bump(self.mode, event, n);
@@ -323,10 +363,24 @@ impl Cpu {
     /// is serviced where it occurs, so everything a miss can change for the
     /// lines after it — the stream-buffer fill of `line + 1`, an inclusive
     /// L2's back-invalidations, a completed data prefetch landing in L2 —
-    /// is in place before the walk resumes. Cycle charges are made one per
-    /// miss, in fetch order: they are floating-point sums, and that order is
-    /// part of the simulated result. Integer event counts commute, so the
-    /// per-line and per-miss ones are added once per call.
+    /// is in place before the walk resumes. Integer event counts commute, so
+    /// the per-line and per-miss ones are added once per call.
+    ///
+    /// Cycle charges are floating-point sums whose order is part of the
+    /// simulated result, and they are made in fetch order — but an L1I miss
+    /// that hits L2 is only *counted* (`owed`) until something reads the
+    /// clock or charges another component: a queued data prefetch to check
+    /// for completion, an L2 miss, the end of the walk. The owed stalls are
+    /// then paid at once by [`Cpu::charge_ifu_repeated`], which is exact.
+    ///
+    /// **Known-miss lane.** With no stream buffer for this run and a
+    /// non-inclusive L2, nothing but the walk itself touches the L1I, and a
+    /// run longer than twice its capacity has a middle — everything but the
+    /// first and last `capacity` lines — where each line must miss and be
+    /// evicted again before the run ends ([`Cache::miss_run`] has the
+    /// argument). The middle is accounted in the L1I without visiting its
+    /// sets and goes straight to the L2 half of the miss, the same
+    /// [`Cpu::l2_ifetch_fill`] the walked ends use.
     fn ifetch(&mut self, base: u64, bytes: u32, run_lines: u32) {
         #[cfg(test)]
         if self.per_line_ifetch {
@@ -336,29 +390,55 @@ impl Cpu {
         self.itlb_walk(base, last);
         let first_line = base >> self.line_shift;
         let last_line = last >> self.line_shift;
-        self.bump(Event::IfuIfetch, last_line - first_line + 1);
+        let end_line = last_line + 1;
+        self.bump(Event::IfuIfetch, end_line - first_line);
         // Xeon instruction stream prefetch: bring the next sequential line
         // close to the fetch unit so straight-line code misses at most once
         // per run (§3.2). A taken branch redirects the fetch stream and ends
         // the run, so branch-dense code (interpreters) defeats the
         // prefetcher — this couples T_L1I to branch behaviour (§5.3).
         let stream = self.cfg.pipe.ifetch_stream_buffer && run_lines >= 2;
+        let capacity = self.l1i.capacity_lines();
+        let known_misses =
+            !stream && !self.cfg.pipe.inclusive_l2 && end_line - first_line > 2 * capacity;
         let mut misses = 0u64;
+        let mut owed = 0u64;
         let mut next = first_line;
-        while let Some((line, _)) = self.l1i.hit_run(next, last_line + 1, false) {
-            next = line + 1;
-            misses += 1;
-            self.l2_ifetch_fill(line);
-            // `bytes` is a u32, so a position within the path fits one too.
-            if stream
-                && line < last_line
-                && !((line - first_line + 1) as u32).is_multiple_of(run_lines)
-                && self.l2.probe_line(next)
-                && !self.l1i.install_line(next).hit
-            {
-                self.bump(Event::SimStreamBufHit, 1);
+        let mut stop = if known_misses {
+            first_line + capacity
+        } else {
+            end_line
+        };
+        loop {
+            while let Some((line, _)) = self.l1i.hit_run(next, stop, false) {
+                next = line + 1;
+                misses += 1;
+                owed = self.l2_ifetch_fill(line, next, owed);
+                // `bytes` is a u32, so a position within the path fits one too.
+                if stream
+                    && line < last_line
+                    && !((line - first_line + 1) as u32).is_multiple_of(run_lines)
+                    && self.l2.probe_line(next)
+                    && !self.l1i.install_line(next).hit
+                {
+                    self.bump(Event::SimStreamBufHit, 1);
+                }
             }
+            if stop == end_line {
+                break;
+            }
+            let resume = end_line - capacity;
+            self.l1i.miss_run(resume - stop);
+            misses += resume - stop;
+            owed = self.l2_ifetch_fill(stop, resume, owed);
+            #[cfg(test)]
+            {
+                self.known_miss_runs += 1;
+            }
+            next = resume;
+            stop = end_line;
         }
+        self.charge_l1i_stalls(owed);
         if misses > 0 {
             self.bump(Event::IfuIfetchMiss, misses);
             self.bump(Event::L2Ifetch, misses);
@@ -377,25 +457,52 @@ impl Cpu {
         }
     }
 
-    /// Services an L1I-missed line from L2/memory, charging the fetch stall.
-    /// The request counters every miss bumps (`IFU_IFETCH_MISS`, `L2_IFETCH`,
+    /// Pays the fetch stalls of `owed` L1I misses that hit L2.
+    #[inline]
+    fn charge_l1i_stalls(&mut self, owed: u64) {
+        self.charge_ifu_repeated(Component::Tl1i, self.cfg.pipe.l1_miss_penalty as f64, owed);
+    }
+
+    /// The L2 half of L1I misses: services the sequential lines `first..end`,
+    /// every one of them missed in the L1I, from L2/memory. `owed` is the
+    /// caller's count of earlier misses whose L1I stall is not charged yet;
+    /// the new count comes back — one more per L2 hit, starting from zero
+    /// again once anything here had to see the clock or charge another
+    /// component, the owed stalls paid first. While data prefetches are
+    /// queued that is every line, since a completed one must land in L2
+    /// before the next lookup; otherwise L2 hits are consumed as a run. The
+    /// request counters every miss bumps (`IFU_IFETCH_MISS`, `L2_IFETCH`,
     /// `L2_RQSTS`, `L2_ADS`) are the caller's.
-    fn l2_ifetch_fill(&mut self, line: u64) {
-        let pipe = self.cfg.pipe;
-        self.pop_completed_prefetches();
-        let l2acc = self.l2.access_line(line, false);
-        if l2acc.hit {
-            self.charge_ifu(Component::Tl1i, pipe.l1_miss_penalty as f64);
-            return;
+    #[inline]
+    fn l2_ifetch_fill(&mut self, first: u64, end: u64, mut owed: u64) -> u64 {
+        let mut next = first;
+        while next < end {
+            let stop = if self.prefetch_q.is_empty() {
+                end
+            } else {
+                self.charge_l1i_stalls(owed);
+                owed = 0;
+                self.pop_completed_prefetches();
+                next + 1
+            };
+            let Some((line, l2acc)) = self.l2.hit_run(next, stop, false) else {
+                owed += stop - next;
+                next = stop;
+                continue;
+            };
+            self.charge_l1i_stalls(owed + (line - next));
+            owed = 0;
+            next = line + 1;
+            self.charge_ifu(Component::Tl2i, self.cfg.pipe.mem_latency as f64);
+            self.bump(Event::SimL2IfetchMiss, 1);
+            self.bump(Event::L2LinesIn, 1);
+            self.bump(Event::BusTranIfetch, 1);
+            self.bump(Event::BusTranMem, 1);
+            self.bump(Event::BusTranAny, 1);
+            self.bump(Event::BusTranBurst, 1);
+            self.handle_l2_eviction(l2acc.evicted, l2acc.dirty_writeback);
         }
-        self.charge_ifu(Component::Tl2i, pipe.mem_latency as f64);
-        self.bump(Event::SimL2IfetchMiss, 1);
-        self.bump(Event::L2LinesIn, 1);
-        self.bump(Event::BusTranIfetch, 1);
-        self.bump(Event::BusTranMem, 1);
-        self.bump(Event::BusTranAny, 1);
-        self.bump(Event::BusTranBurst, 1);
-        self.handle_l2_eviction(l2acc.evicted, l2acc.dirty_writeback);
+        owed
     }
 
     /// The line-at-a-time walk that [`Cpu::ifetch`] replaced, kept as the
@@ -416,7 +523,8 @@ impl Cpu {
             self.bump(Event::L2Ifetch, 1);
             self.bump(Event::L2Rqsts, 1);
             self.bump(Event::L2Ads, 1);
-            self.l2_ifetch_fill(line);
+            let owed = self.l2_ifetch_fill(line, line + 1, 0);
+            self.charge_l1i_stalls(owed);
             if self.cfg.pipe.ifetch_stream_buffer
                 && run_lines >= 2
                 && line < last_line
@@ -483,14 +591,13 @@ impl Cpu {
     /// Services an L1D-missed line from L2/memory: the shared tail of the
     /// per-line and contiguous-run data paths.
     fn l2_data_fill(&mut self, line: u64, dep: MemDep, write: bool) {
-        let pipe = self.cfg.pipe;
         self.pop_completed_prefetches();
         self.bump(if write { Event::L2St } else { Event::L2Ld }, 1);
         self.bump(Event::L2Rqsts, 1);
         self.bump(Event::L2Ads, 1);
         let l2acc = self.l2.access_line(line, write);
         if l2acc.hit {
-            self.charge(Component::Tl1d, pipe.l1_miss_penalty as f64);
+            self.charge(Component::Tl1d, self.cfg.pipe.l1_miss_penalty as f64);
             return;
         }
         // L2 miss: either a late prefetch is in flight or main memory is hit.
@@ -510,8 +617,9 @@ impl Cpu {
         let charged = if let Some(pos) = self.prefetch_q.iter().position(|&(l, _)| l == line) {
             let (_, ready) = self.prefetch_q.remove(pos).expect("position valid");
             self.bump(Event::SimPrefetchLate, 1);
-            (ready - self.cycles).max(0.0) + pipe.l1_miss_penalty as f64
+            (ready - self.cycles).max(0.0) + self.cfg.pipe.l1_miss_penalty as f64
         } else {
+            let pipe = &self.cfg.pipe;
             match dep {
                 MemDep::Chase => pipe.mem_latency as f64,
                 MemDep::Demand => {
@@ -795,7 +903,10 @@ impl Cpu {
             self.bump(Event::DataMemRefs, mem_refs - probes);
             for _ in 0..probes {
                 let r = block.next_rot() as u64;
-                let off = (r.wrapping_mul(197) << self.line_shift) % block.private_bytes as u64;
+                let off = modulo(
+                    r.wrapping_mul(197) << self.line_shift,
+                    block.private_bytes as u64,
+                );
                 self.data_access(block.private_base + off, 4, MemDep::Demand, false);
             }
         }
@@ -911,18 +1022,28 @@ mod tests {
         assert_send_sync::<CodeBlock>();
     }
 
-    /// The hit-run `ifetch` against the per-line walk it replaced: after
+    /// `ifetch` — hit-runs, batched stall charges, known-miss lane — against
+    /// the per-line walk it replaced, which charges one miss at a time: after
     /// every step of a random mix of block executions (64 B to 200 KB, at
-    /// overlapping bases, with fetch runs from none to the whole path) and
-    /// data traffic, both processors must show the same counters, ledger and
-    /// cycle clock — exact `f64` equality — and the same L1I/L2 statistics.
+    /// overlapping unaligned bases, with fetch runs from none to the whole
+    /// path) and data traffic, both processors must show the same counters,
+    /// ledger and cycle clock — exact `f64` equality — and the same L1I/L2
+    /// statistics. Four sizes sit on the lane's threshold (a fetch of more
+    /// than 1 024 lines here): 1 023 to 1 026 lines' worth of bytes, which
+    /// span that many lines or one more as base and fetch phase fall, so the
+    /// lane is refused by one line and by two, and taken with a middle of
+    /// one, two and three lines.
     #[test]
     fn ifetch_matches_the_per_line_reference_walk() {
-        const SIZES: [u32; 8] = [
+        const SIZES: [u32; 12] = [
             64,
             300,
             2800,
             12 << 10,
+            1023 * 32,
+            1024 * 32,
+            1025 * 32,
+            1026 * 32,
             48 << 10,
             100_000,
             190_000,
@@ -952,10 +1073,10 @@ mod tests {
             let mut rng =
                 proptest::TestRng::from_name("ifetch_matches_the_per_line_reference_walk");
             let mut pick = |n: u64| rng.next_u64() % n;
+            // Every size twice, each at its own base.
             let blocks: Vec<CodeBlock> = (0..24)
-                .map(|_| {
-                    let bytes = SIZES[pick(8) as usize];
-                    CodeBlock::builder("t", bytes)
+                .map(|i| {
+                    CodeBlock::builder("t", SIZES[i % 12])
                         .private(segment::PRIVATE, 2048)
                         .branches(3, DYN_BRANCHES[pick(5) as usize])
                         .at(segment::CODE + pick(64) * 1000)
@@ -984,6 +1105,7 @@ mod tests {
                 }
                 let at = format!("corner {corner}, step {step}, op {op}");
                 assert_eq!(cpu.snapshot(), reference.snapshot(), "{at}");
+                assert_eq!(cpu.cycles_by_mode, reference.cycles_by_mode, "{at}");
                 for (got, want) in [(cpu.l1i(), reference.l1i()), (cpu.l2(), reference.l2())] {
                     assert_eq!(
                         (got.accesses(), got.misses(), got.writebacks()),
@@ -996,6 +1118,87 @@ mod tests {
             if stream {
                 assert!(cpu.counters().total(Event::SimStreamBufHit) > 0);
             }
+            // The long blocks here all have fetch runs of two lines or more,
+            // so a stream-buffer corner streams on every long fetch.
+            if stream || inclusive {
+                assert_eq!(cpu.known_miss_runs, 0, "corner {corner} took the lane");
+            } else {
+                assert!(
+                    cpu.known_miss_runs > 20,
+                    "corner {corner} never took the lane"
+                );
+            }
+        }
+    }
+
+    fn accumulator() -> (
+        std::ops::Range<usize>,
+        std::ops::Range<u64>,
+        proptest::strategy::Any<u64>,
+    ) {
+        (0..7, 0..80_000, proptest::any::<u64>())
+    }
+
+    /// A starting value within 5 000 of an edge of [`add_repeated`]'s guard:
+    /// a whole number, a number of eighths, or one with all 52 fraction bits
+    /// random (so that sums round, and land on ties), a third of the time
+    /// each.
+    fn starting_at((edge, eighths, bits): (usize, u64, u64)) -> f64 {
+        const EDGES: [f64; 7] = [
+            0.0,
+            1024.0,
+            1e6,
+            (1u64 << 32) as f64,
+            (1u64 << 50) as f64,
+            (1u64 << 52) as f64,
+            (1u64 << 53) as f64,
+        ];
+        let near = (EDGES[edge] + (eighths as f64 - 40_000.0) / 8.0).max(0.0);
+        match bits % 3 {
+            0 => near.floor(),
+            1 => near,
+            _ => near + (bits >> 11) as f64 / (1u64 << 53) as f64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2000))]
+
+        /// The batched fetch-stall charge against the calls it stands for, on
+        /// two processors started alike: in either mode, from clocks and
+        /// ledger totals on both sides of every bound the guard names (a
+        /// supervisor-mode total of a few cycles, whole and fractional
+        /// values just below 2^10, 2^32, 2^50 and 2^53), for whole and
+        /// fractional amounts, everything observable must be equal — `==`
+        /// on `f64`, not a tolerance.
+        #[test]
+        fn batched_fetch_stalls_equal_the_repeated_charge(
+            supervisor in proptest::any::<bool>(),
+            clock in accumulator(),
+            mode_clock in accumulator(),
+            ledger in accumulator(),
+            residues in (0u64..1 << 20, 0u64..1 << 20),
+            amount in 0usize..9,
+            k in 1u64..=6000,
+        ) {
+            const AMOUNTS: [f64; 9] = [4.0, 1.0, 62.0, 3.0, 4096.0, 0.0, 0.5, 4.25, 17.3];
+            let (mut batched, mut repeated) = (quiet_cpu(), quiet_cpu());
+            for cpu in [&mut batched, &mut repeated] {
+                cpu.mode = if supervisor { Mode::Sup } else { Mode::User };
+                cpu.cycles = starting_at(clock);
+                cpu.cycles_by_mode[cpu.mode as usize] = starting_at(mode_clock);
+                cpu.ledger.charge(cpu.mode, Component::Tl1i, starting_at(ledger));
+                let residue = &mut cpu.residue[cpu.mode as usize];
+                residue[Event::CpuClkUnhalted as usize] = residues.0 as f64 / (1u64 << 20) as f64;
+                residue[Event::IfuMemStall as usize] = residues.1 as f64 / (1u64 << 20) as f64;
+            }
+            batched.charge_ifu_repeated(Component::Tl1i, AMOUNTS[amount], k);
+            for _ in 0..k {
+                repeated.charge_ifu(Component::Tl1i, AMOUNTS[amount]);
+            }
+            proptest::prop_assert_eq!(batched.snapshot(), repeated.snapshot());
+            proptest::prop_assert_eq!(batched.cycles_by_mode, repeated.cycles_by_mode);
+            proptest::prop_assert_eq!(batched.residue, repeated.residue);
         }
     }
 

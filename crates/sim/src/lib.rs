@@ -51,3 +51,16 @@ pub use mem::{segment, Region, SegmentAlloc};
 pub use pipeline::{block_cost, BlockCost, BranchSite, CodeBlock, CodeBlockBuilder};
 pub use stalls::{Component, StallLedger};
 pub use tlb::Tlb;
+
+/// `x % n` for a geometry `n` fixed at construction (a set count, a table
+/// size, a working-set length). Every geometry the repository builds is a
+/// power of two, where this is a mask; a block call indexes up to eight
+/// times, and a 64-bit divide was the slowest instruction it executed.
+#[inline]
+pub(crate) fn modulo(x: u64, n: u64) -> u64 {
+    if n.is_power_of_two() {
+        x & (n - 1)
+    } else {
+        x % n
+    }
+}

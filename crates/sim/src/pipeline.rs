@@ -85,6 +85,16 @@ pub struct CodeBlock {
 /// value), otherwise interleaving would make probe addresses depend on the
 /// host schedule. The engine privatizes block sets per shard for exactly
 /// this reason.
+///
+/// That one-owner rule is also why [`Rot::next`] is a plain load and store
+/// rather than an atomic read-modify-write: with a single core advancing the
+/// counter there is no concurrent update to lose, and a block handed to
+/// another thread travels with its `Cpu` through a channel or a join, which
+/// orders the hand-over. Two cores sharing a block would already be a
+/// determinism bug; they would now also skip or repeat rotation values,
+/// never anything unsafe. A block executes up to nine rotations per
+/// invocation, so the locked instruction this avoids was the single most
+/// repeated one in `Cpu::exec_block`.
 #[derive(Debug, Default)]
 pub(crate) struct Rot(AtomicU32);
 
@@ -96,7 +106,9 @@ impl Clone for Rot {
 
 impl Rot {
     fn next(&self) -> u32 {
-        self.0.fetch_add(1, Ordering::Relaxed)
+        let rot = self.0.load(Ordering::Relaxed);
+        self.0.store(rot.wrapping_add(1), Ordering::Relaxed);
+        rot
     }
 }
 

@@ -139,6 +139,20 @@ impl StallLedger {
         self.charged[mode as usize][component as usize] += cycles;
     }
 
+    /// Adds `cycles` to `component` under `mode` `times` times over (see
+    /// [`add_repeated`], whose precondition on `cycles` is the caller's).
+    #[inline]
+    pub(crate) fn charge_repeated(
+        &mut self,
+        mode: Mode,
+        component: Component,
+        cycles: f64,
+        times: u64,
+    ) {
+        let slot = &mut self.charged[mode as usize][component as usize];
+        *slot = add_repeated(*slot, cycles, times);
+    }
+
     /// Cycles charged to `component` under `mode`.
     #[inline]
     pub fn get(&self, mode: Mode, component: Component) -> f64 {
@@ -203,6 +217,41 @@ impl StallLedger {
             }
         }
         out
+    }
+}
+
+/// `acc` after `times` successive `+= amount`, for a whole `amount >= 1.0`
+/// and a non-negative `acc` — computed as one `acc + amount * times` whenever
+/// that is the same `f64`, by the additions themselves otherwise.
+///
+/// It is the same in two cases. If `acc` is whole and the sum stays below
+/// 2^53, every partial sum is an integer a double holds exactly, so nothing
+/// rounds on either route. If `acc` is at least the total added and the sum
+/// stays below 2^50, the partial sums cross at most one binade boundary;
+/// below it they are multiples of `ulp(acc)` inside `acc`'s binade and so
+/// exact, the one sum that crosses it rounds to the coarser grid, and after
+/// that every step adds a multiple of that grid's *double* spacing (a whole
+/// number is one below 2^50) — which keeps later sums exact and, added to a
+/// tie, does not change which neighbour is the even one. So the repeated
+/// route rounds once, and to what the single addition rounds to.
+/// Accumulators that meet neither (fractional and still small: supervisor
+/// mode early in a run) take the loop.
+#[inline]
+pub(crate) fn add_repeated(acc: f64, amount: f64, times: u64) -> f64 {
+    const TWO_POW_50: f64 = (1u64 << 50) as f64;
+    const TWO_POW_53: f64 = (1u64 << 53) as f64;
+    debug_assert!(amount.fract() == 0.0 && amount >= 1.0 && acc >= 0.0);
+    let total = amount * times as f64;
+    let sum = acc + total;
+    let same = if acc.fract() == 0.0 {
+        sum < TWO_POW_53
+    } else {
+        acc >= total && sum < TWO_POW_50
+    };
+    if same {
+        sum
+    } else {
+        (0..times).fold(acc, |acc, _| acc + amount)
     }
 }
 

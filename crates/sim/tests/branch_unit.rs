@@ -7,7 +7,7 @@
 //! aliasing/eviction, and the unpredictability gap between random and
 //! biased direction streams.
 
-use wdtg_sim::{BranchUnit, BtbGeom};
+use wdtg_sim::{BranchOutcome, BranchUnit, BtbGeom};
 
 fn unit() -> BranchUnit {
     // The Pentium II geometry used by CpuConfig::pentium_ii_xeon().
@@ -209,4 +209,113 @@ fn misprediction_rate_is_maximal_near_even_direction_mix() {
         .unwrap();
     assert_eq!(peak, 2, "misprediction must peak at the 50% mix: {rates:?}");
     assert!(rates[2] > 2.0 * rates[0] && rates[2] > 2.0 * rates[4]);
+}
+
+/// Oracle for [`BranchUnit`]'s indexing, sharing nothing with it: every index
+/// is a `%`, and each BTB set is a `Vec` of `(branch, local history)` kept
+/// most-recent-first by removing and re-inserting at the front.
+struct ModuloBranchUnit {
+    geom: BtbGeom,
+    sets: Vec<Vec<(u64, u64)>>,
+    pht: Vec<u8>,
+}
+
+impl ModuloBranchUnit {
+    fn new(geom: BtbGeom) -> Self {
+        ModuloBranchUnit {
+            geom,
+            sets: vec![Vec::new(); (geom.entries / geom.assoc) as usize],
+            pht: vec![1; geom.pattern_entries as usize],
+        }
+    }
+
+    /// Moves `addr`'s entry to the front of its set and returns its history;
+    /// `allocate` creates a missing entry (history all ones: first seen
+    /// taken), dropping the set's least recently used one when full.
+    fn touch(&mut self, addr: u64, allocate: bool) -> Option<&mut u64> {
+        let (assoc, ones) = (self.geom.assoc as usize, (1 << self.geom.history_bits) - 1);
+        let n = self.sets.len() as u64;
+        let set = &mut self.sets[((addr >> 1) % n) as usize];
+        let entry = match set.iter().position(|&(a, _)| a == addr) {
+            Some(at) => set.remove(at),
+            None if allocate => {
+                set.truncate(assoc - 1);
+                set.insert(0, (addr, ones));
+                return None;
+            }
+            None => return None,
+        };
+        set.insert(0, entry);
+        Some(&mut set[0].1)
+    }
+
+    fn execute(&mut self, addr: u64, taken: bool, backward: bool) -> BranchOutcome {
+        let (bits, entries) = (self.geom.history_bits, self.geom.pattern_entries as u64);
+        let Some(history) = self.touch(addr, taken) else {
+            return BranchOutcome {
+                btb_hit: false,
+                mispredicted: backward != taken,
+            };
+        };
+        let at = ((((addr >> 1) << bits) | *history) % entries) as usize;
+        *history = ((*history << 1) | taken as u64) & ((1 << bits) - 1);
+        let counter = self.pht[at];
+        self.pht[at] = if taken {
+            (counter + 1).min(3)
+        } else {
+            counter.saturating_sub(1)
+        };
+        BranchOutcome {
+            btb_hit: true,
+            mispredicted: (counter >= 2) != taken,
+        }
+    }
+
+    fn probe(&mut self, addr: u64, mostly_taken: bool) -> bool {
+        self.touch(addr, mostly_taken).is_some()
+    }
+}
+
+#[test]
+fn indexing_matches_a_modulo_reference_at_any_geometry() {
+    // 96 sets and a 1 000-entry pattern table take the `%` arm of the
+    // unit's indexing, the paper's 128 sets and 1 024 entries the mask arm;
+    // both must place every branch where the plain modulo does. 700 branch
+    // sites over either BTB keep sets full and evicting.
+    let odd = BtbGeom {
+        entries: 384,
+        assoc: 4,
+        history_bits: 4,
+        pattern_entries: 1000,
+    };
+    let paper = BtbGeom {
+        entries: 512,
+        pattern_entries: 1024,
+        ..odd
+    };
+    for geom in [odd, paper] {
+        let mut unit = BranchUnit::new(geom);
+        let mut reference = ModuloBranchUnit::new(geom);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut hits = 0;
+        for step in 0..200_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let addr = 0x40_0000 + ((x >> 40) % 700) * 6;
+            // Each site has its own bias, so histories and counters differ.
+            let taken = (x >> 20) % 8 < addr % 9;
+            if (x >> 33).is_multiple_of(4) {
+                let hit = unit.probe(addr, taken);
+                assert_eq!(hit, reference.probe(addr, taken), "step {step}");
+                hits += hit as u32;
+            } else {
+                let backward = (x >> 35) & 1 == 1;
+                let out = unit.execute(addr, taken, backward);
+                assert_eq!(out, reference.execute(addr, taken, backward), "step {step}");
+                hits += out.btb_hit as u32;
+            }
+        }
+        assert!((20_000..180_000).contains(&hits), "{hits} hits: one-sided");
+    }
 }
