@@ -1328,7 +1328,7 @@ impl PlannerReport {
             cells.push_str(&format!(
                 "    {{ \"label\": \"{}\", \"sql\": \"{}\", \"chosen\": \"{}\", \
                  \"best\": \"{}\", \"chosen_cycles\": {:.0}, \"best_cycles\": {:.0}, \
-                 \"regret\": {:.4}, \"optimal\": {} }}{}\n",
+                 \"regret\": {:.4}, \"optimal\": {}, \"host_plan_ms\": {:.3} }}{}\n",
                 c.label,
                 c.sql,
                 c.chosen,
@@ -1337,6 +1337,7 @@ impl PlannerReport {
                 c.best_cycles,
                 c.ratio(),
                 if c.optimal() { 1 } else { 0 },
+                c.host_plan_ms,
                 if i + 1 == self.cmp.cells.len() {
                     ""
                 } else {
@@ -1349,7 +1350,8 @@ impl PlannerReport {
              \"l2_bytes\": {},\n  \"deep_pipe_penalty\": {},\n  \
              \"cells\": [\n{cells}  ],\n  \
              \"planner_win_rate\": {:.4},\n  \"max_ratio\": {:.4},\n  \
-             \"predicated_chosen_at_50\": {},\n  \"partitioned_chosen_large\": {}\n}}\n",
+             \"predicated_chosen_at_50\": {},\n  \"partitioned_chosen_large\": {},\n  \
+             \"host_plan_ms_total\": {:.3}\n}}\n",
             PLANNER_SCAN_ROWS,
             PLANNER_L2_BYTES,
             PlannerComparison::DEEP_PIPE_PENALTY,
@@ -1361,6 +1363,8 @@ impl PlannerReport {
             } else {
                 0
             },
+            // Recorded, not gated: host time on a shared machine.
+            self.cmp.cells.iter().map(|c| c.host_plan_ms).sum::<f64>(),
         )
     }
 }

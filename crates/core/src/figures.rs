@@ -1290,6 +1290,9 @@ pub struct PlannerCell {
     pub best_cycles: f64,
     /// Every candidate's actual measured cycles, in enumeration order.
     pub measured: Vec<(String, f64)>,
+    /// Host milliseconds [`Session::explain`] took to plan the statement
+    /// (image build + every pilot job) — the planner layer's host clock.
+    pub host_plan_ms: f64,
 }
 
 impl PlannerCell {
@@ -1373,7 +1376,9 @@ impl PlannerComparison {
             }
         };
         let mut sess = Session::open(db);
+        let planning = std::time::Instant::now();
         sess.explain(sql)?;
+        let host_plan_ms = planning.elapsed().as_secs_f64() * 1e3;
         let report = sess
             .last_plan()
             .expect("aggregate statements are always planned")
@@ -1408,6 +1413,7 @@ impl PlannerComparison {
             best: measured[best].0.clone(),
             best_cycles: measured[best].1,
             measured,
+            host_plan_ms,
         })
     }
 

@@ -16,6 +16,26 @@ pub struct SimArena {
     next: u64,
 }
 
+impl Clone for SimArena {
+    fn clone(&self) -> Self {
+        SimArena {
+            region: self.region,
+            bytes: self.bytes.clone(),
+            next: self.next,
+        }
+    }
+
+    /// Overwrites `self` with `source`'s bytes and bump cursor *in its own
+    /// allocation* when that is large enough (`Vec::clone_from`). The SQL
+    /// planner resets a pilot database from its image this way between
+    /// candidates, on a worker thread, without that thread allocating.
+    fn clone_from(&mut self, source: &Self) {
+        self.region = source.region;
+        self.bytes.clone_from(&source.bytes);
+        self.next = source.next;
+    }
+}
+
 impl SimArena {
     /// Creates an arena at `base` that may grow up to `capacity` bytes.
     pub fn new(base: u64, capacity: u64) -> Self {

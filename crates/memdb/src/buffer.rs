@@ -36,7 +36,7 @@ use crate::arena::SimArena;
 
 /// Open-addressed page table mapping page id → frame address, stored in
 /// simulated memory (MISC segment).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct BufferPool {
     table_base: u64,
     slots: u64,

@@ -300,7 +300,7 @@ impl DbCtx {
 }
 
 /// A table: schema plus heap file.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table name.
     pub name: String,
@@ -314,7 +314,7 @@ pub struct Table {
 }
 
 /// A secondary index registered in the catalog.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IndexMeta {
     /// Index of the table in the catalog.
     pub table: usize,
@@ -374,6 +374,82 @@ impl Database {
     /// pages = 512 MB of heap).
     pub fn new(profile: EngineProfile, cfg: CpuConfig) -> Self {
         Self::with_capacity(profile, cfg, 64 * 1024)
+    }
+
+    /// A fork of `image`: its heap, index and page-table bytes at the same
+    /// simulated addresses, its catalog, profile and knobs — on a cold
+    /// processor of its own, with its own copy of the code blocks, a fresh
+    /// [`CancelToken`], no fault plan, no budget and no transaction state.
+    /// `image` must never have executed anything (its blocks' rotation is
+    /// copied as it stands); the SQL planner's pilot images are such.
+    pub(crate) fn fork(image: &Database) -> Database {
+        let mut fork = Database {
+            ctx: DbCtx::new(image.ctx.cpu.config().clone()),
+            tables: Vec::new(),
+            indexes: Vec::new(),
+            bufpool: image.bufpool.clone(),
+            profile: image.profile.clone(),
+            exec_mode: image.exec_mode,
+            page_layout: image.page_layout,
+            selection_mode: image.selection_mode,
+            catalog_epoch: image.catalog_epoch,
+            txn: TxnState::default(),
+        };
+        fork.reset_from(image);
+        fork
+    }
+
+    /// Makes `self` what [`Database::fork`] of `image` returns, reusing its
+    /// allocations: whatever `self` ran before — warm caches and BTB,
+    /// advanced block rotations, bump-allocated hash tables, a tripped
+    /// budget — leaves no trace in what it simulates next.
+    pub(crate) fn reset_from(&mut self, image: &Database) {
+        // Exhaustive, so a field added to either struct cannot be missed.
+        let Database {
+            ctx,
+            tables,
+            indexes,
+            bufpool,
+            profile,
+            exec_mode,
+            page_layout,
+            selection_mode,
+            catalog_epoch,
+            txn,
+        } = self;
+        let DbCtx {
+            cpu,
+            heap,
+            index,
+            misc,
+            instrument,
+            fault,
+            budget,
+            cancel,
+            query_start_cycles,
+            query_start_arena,
+            probe_scratch: _,
+        } = ctx;
+        cpu.reset_cold();
+        heap.clone_from(&image.ctx.heap);
+        index.clone_from(&image.ctx.index);
+        misc.clone_from(&image.ctx.misc);
+        *instrument = image.ctx.instrument;
+        *fault = FaultInjector::new(FaultPlan::disabled());
+        *budget = ResourceBudget::unlimited();
+        *cancel = CancelToken::new();
+        *query_start_cycles = 0.0;
+        *query_start_arena = 0;
+        tables.clone_from(&image.tables);
+        indexes.clone_from(&image.indexes);
+        bufpool.clone_from(&image.bufpool);
+        profile.clone_from(&image.profile);
+        profile.privatize_blocks();
+        *exec_mode = image.exec_mode;
+        *page_layout = image.page_layout;
+        *selection_mode = image.selection_mode;
+        *catalog_epoch = image.catalog_epoch;
+        *txn = TxnState::default();
     }
 
     /// The engine profile in use.
@@ -1362,29 +1438,22 @@ impl Database {
         })
     }
 
-    /// The first `limit` rows of table `ti` (all of them for
-    /// `usize::MAX`), read raw (uninstrumented) in heap order. Used by
-    /// [`Database::shard`] to re-partition loaded data and by the SQL
-    /// planner ([`crate::sql`]) to build its pilot databases from a prefix.
-    pub(crate) fn table_rows(&self, ti: usize, limit: usize) -> DbResult<Vec<Vec<i32>>> {
+    /// The rows of table `ti` in heap order, read raw (uninstrumented) and
+    /// decoded one at a time, so a caller that loads them elsewhere never
+    /// holds the table twice. Used by [`Database::shard`] to re-partition
+    /// loaded data and by the SQL planner ([`crate::sql`]) to load its pilot
+    /// images from a prefix.
+    pub(crate) fn rows_of(&self, ti: usize) -> impl Iterator<Item = Vec<i32>> + '_ {
         let t = &self.tables[ti];
-        let arity = t.schema.arity();
-        let mut rows = Vec::new();
-        for page_no in 0..t.heap.n_pages() {
-            let page = t.heap.page_addr(page_no)?;
-            let nrecs = self.ctx.heap.read_i32(page + HDR_NRECS) as u32;
-            for slot in 0..nrecs {
-                if rows.len() == limit {
-                    return Ok(rows);
-                }
-                let mut row = Vec::with_capacity(arity);
-                for c in 0..arity {
-                    row.push(self.ctx.heap.read_i32(t.heap.field_addr_at(page, slot, c)));
-                }
-                rows.push(row);
-            }
-        }
-        Ok(rows)
+        let heap = &self.ctx.heap;
+        t.heap.pages.iter().flat_map(move |&page| {
+            let nrecs = heap.read_i32(page + HDR_NRECS) as u32;
+            (0..nrecs).map(move |slot| {
+                (0..t.schema.arity())
+                    .map(|c| heap.read_i32(t.heap.field_addr_at(page, slot, c)))
+                    .collect()
+            })
+        })
     }
 
     /// Splits this database into `n` hash-partitioned shards.
@@ -1431,7 +1500,7 @@ impl Database {
             .collect();
         for (ti, t) in self.tables.iter().enumerate() {
             let mut routed: Vec<Vec<Vec<i32>>> = vec![Vec::new(); n];
-            for row in self.table_rows(ti, usize::MAX)? {
+            for row in self.rows_of(ti) {
                 routed[shard_of(row[t.shard_col], n)].push(row);
             }
             for (s, part) in shards.iter_mut().zip(routed) {

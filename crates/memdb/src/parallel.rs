@@ -113,9 +113,14 @@ impl ParallelConfig {
 ///
 /// Tasks (job indices) are dealt round-robin into per-worker deques, in an
 /// order shuffled by `seed`; a worker pops its own deque from the front and
-/// steals from the back of a seeded rotation of victims when empty. With
-/// `workers <= 1` the jobs run inline on the calling thread in job order —
-/// the sequential baseline the equivalence suite compares against.
+/// steals from the back of a seeded rotation of victims when empty. The
+/// calling thread is worker 0 and `workers - 1` threads are spawned beside
+/// it: it would otherwise sleep until they finish, and what a job allocates
+/// on the host (a join's staged build rows, say) then lands, for that
+/// worker's share, in memory the caller can reuse afterwards rather than in
+/// one more thread's allocator arena. With `workers <= 1` the jobs run
+/// inline on the calling thread in job order — the sequential baseline the
+/// equivalence suite compares against.
 ///
 /// Each job value is handed to exactly one worker by value (`T: Send`), so
 /// jobs that own mutable state — a `&mut Database` shard, or a whole
@@ -162,44 +167,43 @@ where
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let op = &op;
 
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let deques = &deques;
-            let slots = &slots;
-            let results = &results;
-            scope.spawn(move || {
-                let mut rng = splitmix64(seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                loop {
-                    // Own deque first (front), then steal from the back of
-                    // a seeded rotation of victims. No task is ever
-                    // re-queued, so finding every deque empty means all
-                    // tasks are claimed and this worker is done.
-                    let mut task = deques[w].lock().expect("deque lock poisoned").pop_front();
-                    if task.is_none() {
-                        rng = splitmix64(rng);
-                        let start = (rng % workers as u64) as usize;
-                        for k in 0..workers {
-                            let v = (start + k) % workers;
-                            if v == w {
-                                continue;
-                            }
-                            task = deques[v].lock().expect("deque lock poisoned").pop_back();
-                            if task.is_some() {
-                                break;
-                            }
-                        }
+    // One worker's loop. Own deque first (front), then steal from the back
+    // of a seeded rotation of victims. No task is ever re-queued, so finding
+    // every deque empty means all tasks are claimed and this worker is done.
+    let work = |w: usize| {
+        let mut rng = splitmix64(seed ^ (w as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        loop {
+            let mut task = deques[w].lock().expect("deque lock poisoned").pop_front();
+            if task.is_none() {
+                rng = splitmix64(rng);
+                let start = (rng % workers as u64) as usize;
+                for k in 0..workers {
+                    let v = (start + k) % workers;
+                    if v == w {
+                        continue;
                     }
-                    let Some(job_no) = task else { break };
-                    let job = slots[job_no]
-                        .lock()
-                        .expect("slot lock poisoned")
-                        .take()
-                        .expect("job task claimed twice");
-                    let out = op(job_no, job);
-                    *results[job_no].lock().expect("result lock poisoned") = Some(out);
+                    task = deques[v].lock().expect("deque lock poisoned").pop_back();
+                    if task.is_some() {
+                        break;
+                    }
                 }
-            });
+            }
+            let Some(job_no) = task else { break };
+            let job = slots[job_no]
+                .lock()
+                .expect("slot lock poisoned")
+                .take()
+                .expect("job task claimed twice");
+            let out = op(job_no, job);
+            *results[job_no].lock().expect("result lock poisoned") = Some(out);
         }
+    };
+    std::thread::scope(|scope| {
+        let work = &work;
+        for w in 1..workers {
+            scope.spawn(move || work(w));
+        }
+        work(0);
     });
 
     results

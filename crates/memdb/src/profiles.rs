@@ -977,6 +977,93 @@ impl EngineProfile {
     pub fn privatize_blocks(&mut self) {
         self.blocks = Arc::new((*self.blocks).clone());
     }
+
+    /// [`EngineProfile::privatize_blocks`] with every block's rotation put
+    /// back to zero: the block set of a core whose stream must not depend
+    /// on what the source profile's core has executed. The SQL planner's
+    /// pilot images take their blocks through this, so an estimate is a
+    /// function of the catalog and the statement, not of the session's past.
+    pub(crate) fn pristine_blocks(&mut self) {
+        self.privatize_blocks();
+        // Exhaustive, so a block added to either struct cannot be missed.
+        let EngineBlocks {
+            query_setup,
+            scan_next,
+            scan_page,
+            bufpool_get,
+            pred_eval,
+            pred_node,
+            pred_handlers,
+            pred_select,
+            agg_step,
+            field_extract,
+            index_descend,
+            index_leaf_next,
+            rid_fetch,
+            hash_build,
+            hash_probe,
+            join_match,
+            part_scatter,
+            update_step,
+            insert_step,
+            txn_begin_commit,
+            version_chase,
+            wal_append,
+            txn_commit,
+            budget_check,
+            batch,
+            qualify_site: _,
+            match_site: _,
+            tuple_buf: _,
+            agg_buf: _,
+        } = &*self.blocks;
+        let BatchBlocks {
+            dispatch,
+            scan_step,
+            pred_step,
+            agg_step: batch_agg_step,
+            hash_step,
+            fetch_step,
+            partition_step,
+            select_step,
+        } = batch;
+        [
+            query_setup,
+            scan_next,
+            scan_page,
+            bufpool_get,
+            pred_eval,
+            pred_node,
+            pred_select,
+            agg_step,
+            field_extract,
+            index_descend,
+            index_leaf_next,
+            rid_fetch,
+            hash_build,
+            hash_probe,
+            join_match,
+            part_scatter,
+            update_step,
+            insert_step,
+            txn_begin_commit,
+            version_chase,
+            wal_append,
+            txn_commit,
+            budget_check,
+            dispatch,
+            scan_step,
+            pred_step,
+            batch_agg_step,
+            hash_step,
+            fetch_step,
+            partition_step,
+            select_step,
+        ]
+        .into_iter()
+        .chain(pred_handlers)
+        .for_each(CodeBlock::reset_rotation);
+    }
 }
 
 #[cfg(test)]

@@ -21,11 +21,13 @@
 //! the byte span and a source snippet.
 //!
 //! Planning is measurement, not formulas: each candidate knob setting
-//! (execution mode × qualification strategy × join algorithm) runs on a
-//! sampled **pilot database** with its own simulated processor, and the
+//! (execution mode × qualification strategy × join algorithm) runs, after
+//! its own warm-up, on a pristine fork of a sampled **pilot image** — its
+//! own simulated processor, shared with no other candidate — and the
 //! winner is whichever setting minimizes the extrapolated simulated
 //! `T_Q = T_C + T_M + T_B + T_R` — the paper's §3 time breakdown used as
-//! a cost model. See [`plan`] for the sampling and extrapolation rules.
+//! a cost model. See [`plan`] for the sampling and extrapolation rules
+//! and for how the candidates run as parallel jobs.
 
 pub mod ast;
 pub mod bind;

@@ -18,7 +18,7 @@
 //! println!("{}", sess.explain("SELECT AVG(a3) FROM R WHERE a2 > 100 AND a2 < 300").unwrap());
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
@@ -27,7 +27,13 @@ use crate::shard::ShardedDatabase;
 use crate::txn::TxnId;
 
 use super::bind::{compile, BoundStatement};
-use super::plan::{plan, plannable, PhysicalConfig, PlanReport};
+use super::plan::{plan, plannable, PhysicalConfig, PlanReport, Schedule};
+
+/// Most statements the plan cache remembers; planning one more forgets the
+/// one planned longest ago. An ad-hoc client whose aggregate texts never
+/// repeat (literal bounds) would otherwise grow the cache by an entry per
+/// statement for as long as the session lives.
+const PLAN_CACHE_CAP: usize = 1024;
 
 /// The engine behind a session: one simulated core, or a sharded router.
 enum Backend {
@@ -44,13 +50,18 @@ enum Backend {
 /// and the winning configuration is cached and re-applied on repeats,
 /// until a bulk load, a new table or a new index changes what it was
 /// costed against (single-row SQL `INSERT`s do not; see
-/// `Database::catalog_epoch`). Point reads and mutations have no physical
-/// choice and bypass planning.
+/// `Database::catalog_epoch`). The cache holds the 1 024 most recently
+/// planned statements. Point reads and mutations have no physical choice
+/// and bypass planning.
 pub struct Session {
     backend: Backend,
     plans: HashMap<String, PhysicalConfig>,
+    /// The keys of `plans`, oldest first.
+    plan_age: VecDeque<String>,
     /// The planning database's catalog epoch `plans` was filled under.
     plans_epoch: u64,
+    /// How pilot jobs are put on the host (never what they measure).
+    pub(crate) schedule: Schedule,
     last_report: Option<PlanReport>,
     /// The open transaction statements are routed through, if any.
     current: Option<TxnId>,
@@ -74,7 +85,9 @@ impl Session {
         Session {
             backend,
             plans: HashMap::new(),
+            plan_age: VecDeque::new(),
             plans_epoch: 0,
+            schedule: Schedule::host(),
             last_report: None,
             current: None,
         }
@@ -122,15 +135,30 @@ impl Session {
         }
     }
 
-    /// The plan cache, emptied first if the planning database's catalog
-    /// epoch moved since it was filled.
-    fn fresh_plans(&mut self) -> &mut HashMap<String, PhysicalConfig> {
+    /// Empties the plan cache if the planning database's catalog epoch
+    /// moved since it was filled.
+    fn drop_stale_plans(&mut self) {
         let epoch = self.plan_db().catalog_epoch;
         if epoch != self.plans_epoch {
             self.plans.clear();
+            self.plan_age.clear();
             self.plans_epoch = epoch;
         }
-        &mut self.plans
+    }
+
+    /// Remembers `text`'s plan, forgetting the oldest entry when that would
+    /// make [`PLAN_CACHE_CAP`] + 1 of them. Re-planning a cached statement
+    /// (`EXPLAIN`) updates its choice and leaves its age alone.
+    fn remember_plan(&mut self, text: &str, config: PhysicalConfig) {
+        self.drop_stale_plans();
+        if self.plans.insert(text.to_string(), config).is_some() {
+            return;
+        }
+        self.plan_age.push_back(text.to_string());
+        if self.plan_age.len() > PLAN_CACHE_CAP {
+            let oldest = self.plan_age.pop_front().expect("over the cap");
+            self.plans.remove(&oldest);
+        }
     }
 
     /// Plans `stmt` (or reuses the cached choice) and applies the winning
@@ -142,15 +170,16 @@ impl Session {
         if !plannable(stmt) {
             return Ok(());
         }
-        let config = match self.fresh_plans().get(text) {
+        self.drop_stale_plans();
+        let config = match self.plans.get(text) {
             Some(&cached) => cached,
             None => {
-                let Some(report) = plan(self.plan_db(), text, stmt)? else {
+                let Some(report) = plan(self.plan_db(), text, stmt, &self.schedule)? else {
                     return Ok(());
                 };
                 let config = report.chosen().config;
                 self.last_report = Some(report);
-                self.plans.insert(text.to_string(), config);
+                self.remember_plan(text, config);
                 config
             }
         };
@@ -221,11 +250,10 @@ impl Session {
     /// the resulting choice is cached for subsequent executions.
     pub fn explain(&mut self, text: &str) -> DbResult<String> {
         let stmt = compile(self.plan_db(), text)?;
-        match plan(self.plan_db(), text, &stmt)? {
+        match plan(self.plan_db(), text, &stmt, &self.schedule)? {
             Some(report) => {
                 let rendered = report.render();
-                self.fresh_plans()
-                    .insert(text.to_string(), report.chosen().config);
+                self.remember_plan(text, report.chosen().config);
                 self.last_report = Some(report);
                 Ok(rendered)
             }
@@ -344,5 +372,52 @@ mod tests {
             sess.last_plan().is_none(),
             "the aggregate was planned again"
         );
+    }
+
+    #[test]
+    fn the_plan_cache_is_bounded_and_forgets_the_oldest_first() {
+        let cfg = CpuConfig::pentium_ii_xeon().with_interrupts(InterruptCfg::disabled());
+        let mut db = Database::new(EngineProfile::system(SystemId::C), cfg);
+        db.create_table("R", Schema::paper_relation(20)).unwrap();
+        db.load_rows("R", (0..16).map(|i| vec![i, i % 5, i % 3, 0, 0]))
+            .unwrap();
+        let mut sess = Session::open(db);
+
+        // An ad-hoc client: every aggregate text is new.
+        let text = |i: usize| format!("SELECT COUNT(*) FROM R WHERE a2 < {i}");
+        for i in 0..5_000 {
+            sess.sql(&text(i)).unwrap();
+        }
+        assert_eq!(sess.plans.len(), PLAN_CACHE_CAP);
+        assert_eq!(sess.plan_age.len(), PLAN_CACHE_CAP);
+
+        // The newest entries are the ones kept: a hit plans nothing ...
+        sess.last_report = None;
+        sess.sql(&text(4_999)).unwrap();
+        sess.sql(&text(5_000 - PLAN_CACHE_CAP)).unwrap();
+        assert!(
+            sess.last_plan().is_none(),
+            "a recent statement was re-planned"
+        );
+        // ... the one just past the cap is planned again, and takes the
+        // place of what is now the oldest.
+        sess.sql(&text(4_999 - PLAN_CACHE_CAP)).unwrap();
+        assert!(sess.last_plan().is_some(), "an evicted statement was a hit");
+        assert_eq!(sess.plans.len(), PLAN_CACHE_CAP);
+        assert!(!sess.plans.contains_key(&text(5_000 - PLAN_CACHE_CAP)));
+
+        // EXPLAIN of a cached statement re-plans it without ageing anything.
+        let oldest = sess.plan_age.front().cloned();
+        sess.explain(&text(4_999)).unwrap();
+        assert_eq!(sess.plan_age.front().cloned(), oldest);
+        assert_eq!(sess.plans.len(), PLAN_CACHE_CAP);
+
+        // Invalidation is what it was: a catalog change empties both.
+        sess.db_mut()
+            .unwrap()
+            .load_rows("R", [vec![16, 1, 1, 0, 0]])
+            .unwrap();
+        sess.sql(&text(1)).unwrap();
+        assert_eq!((sess.plans.len(), sess.plan_age.len()), (1, 1));
     }
 }

@@ -55,6 +55,18 @@ impl BranchUnit {
         }
     }
 
+    /// Forgets every branch, in place: the cold state [`BranchUnit::new`]
+    /// builds (`Cpu::reset_cold`'s test compares the two).
+    pub(crate) fn clear(&mut self) {
+        let assoc = self.geom.assoc;
+        self.tags.fill(INVALID);
+        for (i, rank) in self.lru.iter_mut().enumerate() {
+            *rank = (i as u32 % assoc) as u8;
+        }
+        self.hist.fill(0);
+        self.pht.fill(1);
+    }
+
     #[inline]
     fn set_of(&self, addr: u64) -> u32 {
         // Branch instructions are at least 2 bytes apart; drop the low bit.

@@ -383,6 +383,15 @@ impl Cache {
         self.misses = 0;
         self.writebacks = 0;
     }
+
+    /// Empties the cache in place: every way invalid, the clock and the
+    /// statistics at zero — the state [`Cache::new`] leaves, in the same
+    /// allocation.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(INVALID);
+        self.clock = 0;
+        self.reset_stats();
+    }
 }
 
 /// Miss path of one set: puts `line` (stamped `stamp`) into the first invalid

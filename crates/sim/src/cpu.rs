@@ -280,6 +280,63 @@ impl Cpu {
         self.dtlb.reset_stats();
     }
 
+    /// Returns the processor, in place, to the cold state [`Cpu::new`] builds
+    /// from the same configuration: caches, TLBs, BTB and predictor empty,
+    /// counters, ledger and clock at zero, user mode, the interrupt timer
+    /// and the kernel block's rotation rewound, no prefetch in flight. The
+    /// stream of calls that follows therefore produces, bit for bit, what it
+    /// would on a new processor — without the ~300 KB of allocations a new
+    /// one makes, which is what lets the SQL planner give every candidate a
+    /// pristine core on a worker thread that allocates nothing large.
+    pub fn reset_cold(&mut self) {
+        self.reset_stats();
+        // Exhaustive, so a field added to `Cpu` cannot be forgotten here;
+        // the fields bound to `_` are configuration, or what `reset_stats`
+        // has just zeroed (counters, residue, ledger, clock, timer).
+        let Cpu {
+            cfg: _,
+            line_shift: _,
+            l1i,
+            l1d,
+            l2,
+            itlb,
+            dtlb,
+            branch_unit,
+            counters: _,
+            residue: _,
+            ledger: _,
+            cycles: _,
+            cycles_by_mode: _,
+            mode,
+            next_interrupt: _,
+            kernel_block,
+            prefetch_q,
+            prefetch_bus_free,
+            run_miss_buf,
+            #[cfg(test)]
+                per_line_ifetch: _,
+            #[cfg(test)]
+            known_miss_runs,
+        } = self;
+        l1i.clear();
+        l1d.clear();
+        l2.clear();
+        itlb.clear();
+        dtlb.clear();
+        branch_unit.clear();
+        *mode = Mode::User;
+        if let Some(block) = kernel_block {
+            block.reset_rotation();
+        }
+        prefetch_q.clear();
+        *prefetch_bus_free = 0.0;
+        run_miss_buf.clear();
+        #[cfg(test)]
+        {
+            *known_miss_runs = 0;
+        }
+    }
+
     #[inline]
     fn charge(&mut self, component: Component, cycles: f64) {
         self.ledger.charge(self.mode, component, cycles);
@@ -1543,6 +1600,62 @@ mod tests {
             0,
             "caches stayed warm"
         );
+    }
+
+    /// A mixed stream (code, data, prefetches, data-dependent branches)
+    /// long enough to take interrupts and wrap the L1s.
+    fn mixed_stream(cpu: &mut Cpu, blocks: &[CodeBlock], salt: u64) {
+        for i in 0..3_000u64 {
+            let x = (i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            cpu.exec_block(&blocks[(x >> 60) as usize % blocks.len()]);
+            let addr = segment::HEAP + (x >> 20) % (2 << 20);
+            cpu.load(addr, 8, MemDep::Demand);
+            cpu.store(addr ^ 0x40, 4, MemDep::Chase);
+            cpu.prefetch_data(addr + 4096);
+            let site = BranchSite {
+                addr: segment::CODE + 0x100 + (x >> 50) * 2,
+                backward: i % 3 == 0,
+            };
+            cpu.branch(site, x & 4 != 0);
+        }
+    }
+
+    #[test]
+    fn reset_cold_is_indistinguishable_from_a_new_processor() {
+        let timer = InterruptCfg {
+            period_cycles: 9_000,
+            kernel_code_bytes: 12 * 1024,
+            kernel_data_bytes: 2048,
+        };
+        for interrupts in [InterruptCfg::disabled(), timer] {
+            let cfg = CpuConfig::pentium_ii_xeon().with_interrupts(interrupts);
+            let blocks = [block(300), block(20 << 10), block(100_000)];
+            let mut fresh = Cpu::new(cfg.clone());
+            mixed_stream(&mut fresh, &blocks, 7);
+
+            let mut reused = Cpu::new(cfg);
+            mixed_stream(&mut reused, &blocks, 99);
+            assert_ne!(reused.snapshot(), Cpu::new(reused.cfg.clone()).snapshot());
+            reused.reset_cold();
+            assert_eq!(reused.snapshot(), Cpu::new(reused.cfg.clone()).snapshot());
+            // The blocks' rotation is part of the stream and theirs to rewind.
+            blocks.iter().for_each(CodeBlock::reset_rotation);
+            mixed_stream(&mut reused, &blocks, 7);
+
+            assert_eq!(reused.snapshot(), fresh.snapshot());
+            assert_eq!(reused.cycles_by_mode, fresh.cycles_by_mode);
+            assert_eq!(reused.next_interrupt, fresh.next_interrupt);
+            for (got, want) in [
+                (reused.l1i(), fresh.l1i()),
+                (reused.l1d(), fresh.l1d()),
+                (reused.l2(), fresh.l2()),
+            ] {
+                assert_eq!(
+                    (got.accesses(), got.misses(), got.writebacks()),
+                    (want.accesses(), want.misses(), want.writebacks())
+                );
+            }
+        }
     }
 
     #[test]

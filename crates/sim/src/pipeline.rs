@@ -166,6 +166,15 @@ impl CodeBlock {
     pub(crate) fn next_rot(&self) -> u32 {
         self.rot.next()
     }
+
+    /// Puts the probe-address rotation back where [`CodeBlock::builder`]
+    /// starts it, so the block's next invocation probes what its first did.
+    /// A clone carries the rotation it was taken at; a core that must start
+    /// from the same stream whatever its blocks' source has been through
+    /// (the SQL planner's pilot databases) resets its private clone.
+    pub fn reset_rotation(&self) {
+        self.rot.0.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Builder for [`CodeBlock`]; all setters override the derived defaults.

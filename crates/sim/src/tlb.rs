@@ -57,6 +57,11 @@ impl Tlb {
     pub fn reset_stats(&mut self) {
         self.inner.reset_stats();
     }
+
+    /// Drops every translation and the statistics, in place.
+    pub(crate) fn clear(&mut self) {
+        self.inner.clear();
+    }
 }
 
 #[cfg(test)]
