@@ -1,6 +1,6 @@
 //! Macro benchmarks: one Criterion target per paper experiment, at test
 //! scale so `cargo bench` finishes quickly. The printable full-scale
-//! regenerations live in `src/bin/`, one file per table or figure.
+//! regenerations are the `figures` binary's selections (`src/bin/figures.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wdtg_core::dss::measure_tpcd;

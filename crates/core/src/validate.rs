@@ -28,7 +28,9 @@ pub struct Claim {
 }
 
 impl Claim {
-    fn new(id: &'static str, description: &'static str, pass: bool, detail: String) -> Claim {
+    /// A claim `id` stating `description`, evaluated to `pass` on the
+    /// observed values in `detail`.
+    pub fn new(id: &'static str, description: &'static str, pass: bool, detail: String) -> Claim {
         Claim {
             id,
             description,

@@ -1,40 +1,47 @@
 #!/usr/bin/env bash
 # "Baselines bit-identical" as one command.
 #
-# Regenerates the eight committed BENCH_*.json baselines into a temp dir
-# (through each bin's existing BENCH_*_OUT variable), strips every host-clock
-# pair -- `"host_<name>": <number>`, the only fields that may differ between
-# two runs of a deterministic simulator -- from both sides, and diffs against
-# the committed files. Exits non-zero, naming file and line, if any simulated
-# field moved or a bin failed.
+# Runs `bench all` once from a temp dir, which regenerates the eight committed
+# BENCH_*.json there and checks every benchmark's claims; strips every
+# host-clock pair -- `"host_<name>": <number>`, the only fields that may differ
+# between two runs of a deterministic simulator -- from both sides, and diffs
+# against the committed files. Exits non-zero, naming file and line, if any
+# simulated field moved, a committed baseline is missing or a claim failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 unset WDTG_SCALE # the committed baselines are dev scale
 
+names="exec layout join branch scale chaos planner oltp"
+status=0
+for name in $names; do
+    if [ ! -f "BENCH_$name.json" ]; then
+        echo "BENCH_$name.json: no committed baseline; regenerate it with" \
+            "\`cargo run --release -p wdtg-bench --bin bench -- $name\` and commit it"
+        status=1
+    fi
+done
+[ "$status" -eq 0 ] || exit 1
+
+root=$PWD
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+if ! (cd "$tmp" && cargo run --release -q --manifest-path "$root/Cargo.toml" \
+    -p wdtg-bench --bin bench -- all); then
+    echo "bench all failed (a claim above did not hold, or a benchmark panicked)"
+    status=1
+fi
 
 strip_host() {
     sed -E 's/"host_[a-z_0-9]*": *-?[0-9][0-9.eE+-]*/"host_*": _/g' "$1"
 }
 
-status=0
-for pair in exec_mode:exec layout_compare:layout join_compare:join \
-    branch_compare:branch scale_compare:scale chaos_sweep:chaos \
-    planner_compare:planner oltp_bench:oltp; do
-    bin=${pair%%:*}
-    name=${pair##*:}
+for name in $names; do
     file="BENCH_$name.json"
-    var="BENCH_$(echo "$name" | tr '[:lower:]' '[:upper:]')_OUT"
-    echo "== $bin -> $file"
-    if ! env "$var=$tmp/$file" cargo run --release -q -p wdtg-bench --bin "$bin" \
-        >"$tmp/$bin.log" 2>&1; then
-        echo "$file: $bin failed:"
-        tail -n 20 "$tmp/$bin.log"
+    if [ ! -f "$tmp/$file" ]; then
+        echo "$file: not regenerated"
         status=1
-        continue
-    fi
-    if ! diff \
+    elif ! diff \
         --unchanged-line-format= \
         --old-line-format="$file:%dn: committed   %L" \
         --new-line-format="$file:%dn: regenerated %L" \
