@@ -75,7 +75,8 @@ fn bench_exec_modes(c: &mut Criterion) {
     g.sample_size(10);
     for (label, mode) in [("row", ExecMode::Row), ("batch", ExecMode::Batch)] {
         g.bench_function(label, |b| {
-            let mut db = db_with_rows(SystemId::C, ROWS, true).with_exec_mode(mode);
+            let mut db = db_with_rows(SystemId::C, ROWS, true);
+            db.set_exec_mode(mode);
             let q = Query::range_select_avg("R", 100, 500);
             b.iter(|| db.run(&q).unwrap().rows)
         });

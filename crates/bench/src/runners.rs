@@ -85,9 +85,9 @@ fn debug(v: impl std::fmt::Debug) -> Json {
 }
 
 fn build_scan_db(sys: SystemId, layout: PageLayout) -> Database {
-    let mut db = Database::new(EngineProfile::system(sys), quiet_xeon()).with_page_layout(layout);
+    let mut db = Database::new(EngineProfile::system(sys), quiet_xeon());
     db.ctx.instrument = false;
-    db.create_table("R", Schema::paper_relation(SCAN_RECORD_BYTES))
+    db.create_table_with_layout("R", Schema::paper_relation(SCAN_RECORD_BYTES), layout)
         .unwrap();
     let ncols = (SCAN_RECORD_BYTES / 4) as usize;
     db.load_rows(
@@ -149,7 +149,8 @@ struct ExecModeResult {
 }
 
 fn measure_exec_mode(sys: SystemId, mode: ExecMode) -> ExecModeResult {
-    let db = build_scan_db(sys, PageLayout::Nsm).with_exec_mode(mode);
+    let mut db = build_scan_db(sys, PageLayout::Nsm);
+    db.set_exec_mode(mode);
     let (rows, host_secs, delta) = measure_scan(db);
     ExecModeResult {
         host_secs,

@@ -6,6 +6,7 @@
 //! dominance, trends under selectivity/record-size variation — are the
 //! reproduction targets (see EXPERIMENTS.md).
 
+use wdtg_memdb::exec::PhysicalConfig;
 use wdtg_memdb::sql::{compile, BoundStatement, Session};
 use wdtg_memdb::{
     Database, DbResult, EngineProfile, ExecMode, JoinAlgo, PageLayout, Schema, SelectionMode,
@@ -512,11 +513,11 @@ impl JoinComparison {
     ) -> DbResult<JoinCell> {
         let expected_pages = (spec.build_rows + spec.probe_rows) / 40 + 1024;
         let mut db =
-            Database::with_capacity(EngineProfile::system(sys), cfg.clone(), expected_pages)
-                .with_exec_mode(mode)
-                .with_join_algo(algo);
+            Database::with_capacity(EngineProfile::system(sys), cfg.clone(), expected_pages);
+        db.set_exec_mode(mode);
+        db.set_join_algo(algo);
         db.ctx.instrument = false;
-        join::prepare_with_layout(&mut db, spec, true, layout)?;
+        join::prepare(&mut db, spec, true, layout)?;
         db.ctx.instrument = true;
         let q = join::query();
         let rows = db.run(&q)?.rows; // warm-up (§4.3)
@@ -1009,7 +1010,11 @@ impl ScalingComparison {
             layout,
             shards,
         )?;
-        db.set_exec_mode(mode);
+        db.configure(PhysicalConfig {
+            exec_mode: mode,
+            selection_mode: None,
+            join_algo: None,
+        });
         let q = micro::query(scale, query, 0.1);
         db.run(&q)?; // warm-up (§4.3)
         let before = db.snapshots();

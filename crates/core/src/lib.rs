@@ -41,7 +41,7 @@ pub use figures::{
     ScalingComparison, SelectivityComparison, SelectivitySweep,
 };
 pub use methodology::{
-    build_db, build_db_with, build_db_with_layout, build_sharded_db_with_layout, measure_query,
+    build_db, build_db_with_layout, build_sharded_db_with_layout, measure_query,
     measure_query_with, measured_latency, Methodology, QueryMeasurement, Rates,
 };
 pub use validate::{render_claims, Claim};

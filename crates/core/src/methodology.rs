@@ -8,9 +8,10 @@
 //! of numbers exhibit a standard deviation of less than 5 percent."
 
 use wdtg_emon::{measure_breakdown, ModeSel, Penalties, Target};
+use wdtg_memdb::exec::PhysicalConfig;
 use wdtg_memdb::{
-    Database, DbResult, EngineProfile, ExecMode, FaultPlan, JoinAlgo, PageLayout, Query,
-    SelectionMode, ShardedDatabase, SystemId,
+    Database, DbResult, EngineProfile, ExecMode, PageLayout, Query, SelectionMode, ShardedDatabase,
+    SystemId,
 };
 use wdtg_sim::{measure_memory_latency, merge_cores, Cpu, CpuConfig, Event, Mode, Snapshot};
 use wdtg_workloads::{micro, MicroQuery, Scale};
@@ -33,26 +34,18 @@ pub struct Methodology {
     /// Whether to also reconstruct the breakdown through the emon pipeline
     /// (16 events, two per run — 8 extra unit executions).
     pub with_emon: bool,
-    /// Execution path the engine runs queries under. The paper's systems
-    /// are row-at-a-time ([`ExecMode::Row`], the default); [`ExecMode::Batch`]
-    /// regenerates the same breakdowns over the vectorized executor so the
-    /// two can be compared.
-    pub exec_mode: ExecMode,
+    /// The physical knobs the measured database runs under. The paper's
+    /// systems are row-at-a-time, branch on the predicate result and keep
+    /// the engine profile's own join algorithm (the default:
+    /// `{ Row, Some(Branching), None }`); another setting regenerates the
+    /// same breakdowns under, e.g., the vectorized executor
+    /// ([`Methodology::batched`]).
+    pub physical: PhysicalConfig,
     /// On-page record layout of the measured relations. The paper's systems
     /// store slotted NSM pages ([`PageLayout::Nsm`], the default);
     /// [`PageLayout::Pax`] regenerates the same breakdowns over
     /// cache-conscious per-attribute minipages.
     pub layout: PageLayout,
-    /// Join-algorithm override for equijoin queries. `None` (the default)
-    /// keeps the engine profile's own choice — the paper's systems run the
-    /// naive transient hash join; `Some` regenerates the same breakdowns
-    /// under another strategy (e.g. [`JoinAlgo::PartitionedHash`]).
-    pub join_algo: Option<JoinAlgo>,
-    /// How filters qualify rows. The paper's systems branch on the
-    /// predicate result ([`SelectionMode::Branching`], the default — the
-    /// source of the Fig 5.4 T_B term); [`SelectionMode::Predicated`]
-    /// regenerates the same breakdowns under branch-free qualification.
-    pub selection: SelectionMode,
     /// How many hash-partitioned shards (simulated cores) execute the
     /// query. `1` (the default) is the paper's single-processor setup;
     /// `> 1` re-partitions the relations via [`Database::shard`] and the
@@ -62,11 +55,6 @@ pub struct Methodology {
     /// The emon reconstruction is single-processor tooling and is skipped
     /// for sharded runs.
     pub shards: usize,
-    /// Deterministic fault-injection plan applied to the measured database
-    /// ([`FaultPlan::disabled`] by default — the measurement configurations
-    /// above are fault-free; chaos experiments arm this and drive the same
-    /// methodology under injected faults).
-    pub fault: FaultPlan,
 }
 
 impl Default for Methodology {
@@ -77,12 +65,13 @@ impl Default for Methodology {
             repetitions: 1,
             max_rel_stddev: 0.05,
             with_emon: false,
-            exec_mode: ExecMode::Row,
+            physical: PhysicalConfig {
+                exec_mode: ExecMode::Row,
+                selection_mode: Some(SelectionMode::Branching),
+                join_algo: None,
+            },
             layout: PageLayout::Nsm,
-            join_algo: None,
-            selection: SelectionMode::Branching,
             shards: 1,
-            fault: FaultPlan::disabled(),
         }
     }
 }
@@ -94,56 +83,23 @@ impl Methodology {
             warmup_runs: 2,
             unit_queries: 10,
             repetitions: 3,
-            max_rel_stddev: 0.05,
             with_emon: true,
-            exec_mode: ExecMode::Row,
-            layout: PageLayout::Nsm,
-            join_algo: None,
-            selection: SelectionMode::Branching,
-            shards: 1,
-            fault: FaultPlan::disabled(),
+            ..Methodology::default()
         }
     }
 
     /// The same methodology over the vectorized executor.
-    pub fn batched(self) -> Methodology {
-        Methodology {
-            exec_mode: ExecMode::Batch,
-            ..self
-        }
-    }
-
-    /// The same methodology over a given page layout.
-    pub fn with_layout(self, layout: PageLayout) -> Methodology {
-        Methodology { layout, ..self }
+    pub fn batched(mut self) -> Methodology {
+        self.physical.exec_mode = ExecMode::Batch;
+        self
     }
 
     /// The same methodology over PAX pages.
     pub fn pax(self) -> Methodology {
-        self.with_layout(PageLayout::Pax)
-    }
-
-    /// The same methodology with a join-algorithm override.
-    pub fn with_join_algo(self, algo: JoinAlgo) -> Methodology {
         Methodology {
-            join_algo: Some(algo),
+            layout: PageLayout::Pax,
             ..self
         }
-    }
-
-    /// The same methodology under the radix-partitioned hash join.
-    pub fn partitioned(self) -> Methodology {
-        self.with_join_algo(JoinAlgo::PartitionedHash)
-    }
-
-    /// The same methodology under a given selection mode.
-    pub fn with_selection(self, selection: SelectionMode) -> Methodology {
-        Methodology { selection, ..self }
-    }
-
-    /// The same methodology under branch-free (predicated) selection.
-    pub fn predicated(self) -> Methodology {
-        self.with_selection(SelectionMode::Predicated)
     }
 
     /// The same methodology over `shards` hash-partitioned cores (`1` = the
@@ -153,11 +109,6 @@ impl Methodology {
             shards: shards.max(1),
             ..self
         }
-    }
-
-    /// The same methodology under a deterministic fault-injection plan.
-    pub fn with_fault_plan(self, fault: FaultPlan) -> Methodology {
-        Methodology { fault, ..self }
     }
 }
 
@@ -268,17 +219,7 @@ impl Target for DbTarget<'_> {
 }
 
 /// Builds a database for `profile` and prepares the given microbenchmark
-/// query's dataset/indexes at `scale` in NSM pages (uninstrumented).
-pub fn build_db_with(
-    profile: EngineProfile,
-    scale: Scale,
-    query: MicroQuery,
-    cfg: &CpuConfig,
-) -> DbResult<Database> {
-    build_db_with_layout(profile, scale, query, cfg, PageLayout::Nsm)
-}
-
-/// [`build_db_with`] with an explicit page layout for the relations.
+/// query's dataset/indexes at `scale` in `layout` pages (uninstrumented).
 pub fn build_db_with_layout(
     profile: EngineProfile,
     scale: Scale,
@@ -289,19 +230,26 @@ pub fn build_db_with_layout(
     let expected_pages = (scale.r_records + scale.s_records) / 40 + 1024;
     let mut db = Database::with_capacity(profile, cfg.clone(), expected_pages);
     db.ctx.instrument = false;
-    micro::prepare_with_layout(&mut db, scale, query, layout)?;
+    micro::prepare(&mut db, scale, query, layout)?;
     db.ctx.instrument = true;
     Ok(db)
 }
 
-/// Builds a database for one of the paper's systems (see [`build_db_with`]).
+/// Builds a database for one of the paper's systems in NSM pages (see
+/// [`build_db_with_layout`]).
 pub fn build_db(
     system: SystemId,
     scale: Scale,
     query: MicroQuery,
     cfg: &CpuConfig,
 ) -> DbResult<Database> {
-    build_db_with(EngineProfile::system(system), scale, query, cfg)
+    build_db_with_layout(
+        EngineProfile::system(system),
+        scale,
+        query,
+        cfg,
+        PageLayout::Nsm,
+    )
 }
 
 /// [`build_db_with_layout`] split across `shards` hash-partitioned cores,
@@ -358,12 +306,7 @@ pub fn measure_query_with(
     }
     let system = profile.system;
     let mut db = build_db_with_layout(profile, scale, query, cfg, m.layout)?;
-    db.set_exec_mode(m.exec_mode);
-    db.set_selection_mode(m.selection);
-    if let Some(algo) = m.join_algo {
-        db.set_join_algo(algo);
-    }
-    db.set_fault_plan(m.fault);
+    m.physical.apply(&mut db);
     let q = micro::query(scale, query, selectivity);
 
     // Warm-up runs (§4.3): caches, TLBs, BTB reach steady state.
@@ -491,12 +434,7 @@ fn measure_query_sharded(
 ) -> DbResult<QueryMeasurement> {
     let system = profile.system;
     let mut db = build_sharded_db_with_layout(profile, scale, query, cfg, m.layout, m.shards)?;
-    db.set_exec_mode(m.exec_mode);
-    db.set_selection_mode(m.selection);
-    if let Some(algo) = m.join_algo {
-        db.set_join_algo(algo);
-    }
-    db.set_fault_plan(m.fault);
+    db.configure(m.physical);
     let q = micro::query(scale, query, selectivity);
 
     // Warm-up runs (§4.3): every shard's caches/TLBs/BTB reach steady state.

@@ -47,7 +47,7 @@ fn comparison_shows_instruction_collapse_on_srs() {
 #[test]
 fn batched_methodology_is_plumbed_through_measure_query() {
     let m = Methodology::default().batched();
-    assert_eq!(m.exec_mode, ExecMode::Batch);
+    assert_eq!(m.physical.exec_mode, ExecMode::Batch);
     let meas = measure_query(
         SystemId::A,
         MicroQuery::SequentialRangeSelection,

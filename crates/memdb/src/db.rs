@@ -335,7 +335,6 @@ pub struct Database {
     pub(crate) bufpool: BufferPool,
     pub(crate) profile: EngineProfile,
     pub(crate) exec_mode: ExecMode,
-    page_layout: PageLayout,
     selection_mode: SelectionMode,
     /// Bumped by every bulk change to what a physical plan was costed
     /// against — [`Database::create_table_with_layout`],
@@ -363,7 +362,6 @@ impl Database {
             bufpool,
             profile,
             exec_mode: ExecMode::Row,
-            page_layout: PageLayout::Nsm,
             selection_mode: SelectionMode::Branching,
             catalog_epoch: 0,
             txn: TxnState::default(),
@@ -390,7 +388,6 @@ impl Database {
             bufpool: image.bufpool.clone(),
             profile: image.profile.clone(),
             exec_mode: image.exec_mode,
-            page_layout: image.page_layout,
             selection_mode: image.selection_mode,
             catalog_epoch: image.catalog_epoch,
             txn: TxnState::default(),
@@ -412,7 +409,6 @@ impl Database {
             bufpool,
             profile,
             exec_mode,
-            page_layout,
             selection_mode,
             catalog_epoch,
             txn,
@@ -446,7 +442,6 @@ impl Database {
         profile.clone_from(&image.profile);
         profile.privatize_blocks();
         *exec_mode = image.exec_mode;
-        *page_layout = image.page_layout;
         *selection_mode = image.selection_mode;
         *catalog_epoch = image.catalog_epoch;
         *txn = TxnState::default();
@@ -458,44 +453,18 @@ impl Database {
     }
 
     /// Selects row-at-a-time or vectorized execution for subsequent queries.
+    /// [`crate::exec::PhysicalConfig::apply`] sets this knob and the two
+    /// below in one call.
     pub fn set_exec_mode(&mut self, mode: ExecMode) {
         self.exec_mode = mode;
     }
 
-    /// Builder-style [`Database::set_exec_mode`].
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec_mode = mode;
-        self
-    }
-
-    /// The page layout newly created tables get.
-    pub fn page_layout(&self) -> PageLayout {
-        self.page_layout
-    }
-
-    /// Selects the page layout for tables created after this call (existing
-    /// tables keep the layout they were created with).
-    pub fn set_page_layout(&mut self, layout: PageLayout) {
-        self.page_layout = layout;
-    }
-
-    /// Builder-style [`Database::set_page_layout`].
-    pub fn with_page_layout(mut self, layout: PageLayout) -> Self {
-        self.page_layout = layout;
-        self
-    }
-
     /// Selects branching or predicated (branch-free) row qualification for
     /// subsequent queries — the knob that attacks the T_B term, orthogonal
-    /// to [`Database::set_exec_mode`] and [`Database::set_page_layout`].
+    /// to [`Database::set_exec_mode`] and to a table's page layout
+    /// ([`Database::create_table_with_layout`]).
     pub fn set_selection_mode(&mut self, mode: SelectionMode) {
         self.selection_mode = mode;
-    }
-
-    /// Builder-style [`Database::set_selection_mode`].
-    pub fn with_selection_mode(mut self, mode: SelectionMode) -> Self {
-        self.selection_mode = mode;
-        self
     }
 
     /// Overrides the engine profile's join algorithm for subsequent queries
@@ -504,12 +473,6 @@ impl Database {
     /// the system under test had it).
     pub fn set_join_algo(&mut self, algo: JoinAlgo) {
         self.profile.join_algo = algo;
-    }
-
-    /// Builder-style [`Database::set_join_algo`].
-    pub fn with_join_algo(mut self, algo: JoinAlgo) -> Self {
-        self.profile.join_algo = algo;
-        self
     }
 
     /// Installs a deterministic fault plan for subsequent queries (fresh
@@ -578,12 +541,13 @@ impl Database {
             .find(|i| i.table == table && i.col == col)
     }
 
-    /// Creates an empty table in the database's current page layout.
+    /// Creates an empty table in slotted NSM pages, the paper's layout.
     pub fn create_table(&mut self, name: &str, schema: Schema) -> DbResult<usize> {
-        self.create_table_with_layout(name, schema, self.page_layout)
+        self.create_table_with_layout(name, schema, PageLayout::Nsm)
     }
 
-    /// Creates an empty table with an explicit page layout.
+    /// Creates an empty table with an explicit page layout (a table keeps
+    /// the layout it was created with).
     pub fn create_table_with_layout(
         &mut self,
         name: &str,
@@ -1492,7 +1456,6 @@ impl Database {
                 // EngineProfile::privatize_blocks).
                 db.profile.privatize_blocks();
                 db.exec_mode = self.exec_mode;
-                db.page_layout = self.page_layout;
                 db.selection_mode = self.selection_mode;
                 db.ctx.instrument = false;
                 db

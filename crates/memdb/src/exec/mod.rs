@@ -32,6 +32,11 @@
 //! selection vector on the [`Batch`] that every downstream operator honors
 //! via [`Batch::live_rows`]/[`Batch::live_index`].
 //!
+//! A [`PhysicalConfig`] is one setting of these knobs plus the join
+//! algorithm: the value the SQL planner costs, a session applies, a
+//! [`crate::ShardedDatabase`] hands to every shard and a measurement
+//! methodology runs under.
+//!
 //! ## Batch size and the cache model
 //!
 //! [`BATCH_ROWS`] = 1024 rows keeps a few columns of `i32` values (host
@@ -60,9 +65,63 @@ pub use partial::AggState;
 use wdtg_sim::{CodeBlock, MemDep};
 
 use crate::buffer::BufferPool;
-use crate::db::DbCtx;
+use crate::db::{Database, DbCtx};
 use crate::error::{DbError, DbResult};
 use crate::fault::FaultSite;
+use crate::profiles::JoinAlgo;
+
+/// One setting of the physical knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhysicalConfig {
+    /// Row-at-a-time or vectorized execution.
+    pub exec_mode: ExecMode,
+    /// Qualification strategy; `None` when the plan has no filter.
+    pub selection_mode: Option<SelectionMode>,
+    /// Join algorithm; `None` for non-join plans.
+    pub join_algo: Option<JoinAlgo>,
+}
+
+impl PhysicalConfig {
+    /// Compact human label, e.g. `batch/predicated` or `row/partitioned`.
+    pub fn label(&self) -> String {
+        let mut parts = vec![match self.exec_mode {
+            ExecMode::Row => "row",
+            ExecMode::Batch => "batch",
+        }
+        .to_string()];
+        if let Some(s) = self.selection_mode {
+            parts.push(
+                match s {
+                    SelectionMode::Branching => "branching",
+                    SelectionMode::Predicated => "predicated",
+                }
+                .to_string(),
+            );
+        }
+        if let Some(j) = self.join_algo {
+            parts.push(
+                match j {
+                    JoinAlgo::Hash => "hash",
+                    JoinAlgo::PartitionedHash => "partitioned",
+                    JoinAlgo::IndexNestedLoop => "index-nl",
+                }
+                .to_string(),
+            );
+        }
+        parts.join("/")
+    }
+
+    /// Applies the chosen knobs to a database.
+    pub fn apply(&self, db: &mut Database) {
+        db.set_exec_mode(self.exec_mode);
+        if let Some(s) = self.selection_mode {
+            db.set_selection_mode(s);
+        }
+        if let Some(j) = self.join_algo {
+            db.set_join_algo(j);
+        }
+    }
+}
 
 /// Execution environment handed to every operator call: the instrumented
 /// context plus the buffer pool (for page-table lookups) and the execution

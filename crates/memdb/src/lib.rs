@@ -60,11 +60,11 @@ pub use txn::{TxnId, TxnStats, Wal, WalOp, WalRecord};
 pub mod prelude {
     pub use crate::db::Database;
     pub use crate::error::{DbError, DbResult};
-    pub use crate::exec::{ExecMode, SelectionMode};
+    pub use crate::exec::{ExecMode, PhysicalConfig, SelectionMode};
     pub use crate::heap::PageLayout;
     pub use crate::profiles::JoinAlgo;
     pub use crate::query::{AggKind, AggSpec, Query, QueryPredicate, QueryResult};
     pub use crate::shard::ShardedDatabase;
-    pub use crate::sql::{CandidateCost, PhysicalConfig, PlanReport, Session};
+    pub use crate::sql::{CandidateCost, PlanReport, Session};
     pub use crate::txn::{TxnId, WalRecord};
 }

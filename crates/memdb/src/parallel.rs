@@ -39,7 +39,7 @@
 //! or any steal seed produces the same bytes;
 //! `tests/parallel_equivalence.rs` holds it to that. Host wall-clock time,
 //! of course, *does* change with workers — that is the point — and the
-//! `scale_compare` bench reports it next to the modeled (simulated)
+//! `bench scale` headline reports it next to the modeled (simulated)
 //! scaling.
 
 use std::collections::VecDeque;

@@ -21,6 +21,15 @@
 //! router's, so they are the same under both. Each per-shard attempt
 //! crosses the engine's one entry gate (`Database::gated`).
 //!
+//! [`crate::Session`] always executes through this router on the caller's
+//! thread: `Session::open` wraps its database as the only shard of a
+//! [`ShardedDatabase`] (no re-partition, same simulated addresses), so a
+//! one-shard session behaves the same however it was opened. In particular,
+//! under an armed [`FaultPlan`] its statements draw [`FaultSite::ShardExec`]
+//! and retry transient faults exactly as a many-shard session does. Knob
+//! settings reach every shard as one [`PhysicalConfig`]
+//! ([`ShardedDatabase::configure`]).
+//!
 //! # Shard routing
 //!
 //! ```text
@@ -79,10 +88,9 @@ use wdtg_sim::{merge_cores, CoreMerge, Snapshot};
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::exec::partial::AggState;
-use crate::exec::{ExecMode, SelectionMode};
+use crate::exec::PhysicalConfig;
 use crate::fault::{CancelToken, FaultPlan, FaultSite, ResourceBudget, RobustnessStats};
 use crate::parallel::{run_jobs_parallel, ParallelConfig};
-use crate::profiles::JoinAlgo;
 use crate::query::{AggSpec, Query, QueryPredicate, QueryResult};
 
 /// How many times the router attempts one shard's sub-query before giving
@@ -216,24 +224,10 @@ impl ShardedDatabase {
         &self.shards
     }
 
-    /// Selects row-at-a-time or vectorized execution on every shard.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
+    /// Applies one knob setting to every shard ([`PhysicalConfig::apply`]).
+    pub fn configure(&mut self, config: PhysicalConfig) {
         for s in &mut self.shards {
-            s.set_exec_mode(mode);
-        }
-    }
-
-    /// Selects branching or predicated qualification on every shard.
-    pub fn set_selection_mode(&mut self, mode: SelectionMode) {
-        for s in &mut self.shards {
-            s.set_selection_mode(mode);
-        }
-    }
-
-    /// Overrides the join algorithm on every shard.
-    pub fn set_join_algo(&mut self, algo: JoinAlgo) {
-        for s in &mut self.shards {
-            s.set_join_algo(algo);
+            config.apply(s);
         }
     }
 

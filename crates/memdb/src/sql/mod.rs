@@ -1,7 +1,7 @@
 //! SQL frontend: lexer → parser → binder → simulator-costed planner.
 //!
-//! This module is the engine's front door. [`Session`] owns a database and
-//! turns SQL text into execution:
+//! This module is the engine's front door. [`Session`] owns a database (as
+//! one shard, or several) and turns SQL text into execution:
 //!
 //! ```text
 //!   "SELECT AVG(a3) FROM R WHERE …"
@@ -9,7 +9,7 @@
 //!        │ parse (parser.rs)       Statement AST
 //!        │ bind (bind.rs)          BoundStatement over the catalog
 //!        │ plan (plan.rs)          pilot-simulated candidate costs
-//!        ▼ execute (session.rs)    chosen knobs → Database::run (one gate)
+//!        ▼ execute (session.rs)    chosen knobs → shard router → one gate per shard
 //! ```
 //!
 //! The dialect covers exactly what the executor runs: single-table
@@ -36,6 +36,7 @@ pub mod plan;
 pub mod session;
 pub mod token;
 
+pub use crate::exec::PhysicalConfig;
 pub use bind::{compile, BoundStatement, CatalogView};
-pub use plan::{CandidateCost, PhysicalConfig, PlanReport};
+pub use plan::{CandidateCost, PlanReport};
 pub use session::Session;

@@ -92,7 +92,7 @@ use wdtg_sim::{Component, Mode, Snapshot};
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::{ExecMode, SelectionMode};
+use crate::exec::{ExecMode, PhysicalConfig, SelectionMode};
 use crate::parallel::{run_jobs_parallel, ParallelConfig};
 use crate::profiles::JoinAlgo;
 use crate::query::{AggSpec, Query, QueryPredicate};
@@ -103,59 +103,6 @@ use super::bind::BoundStatement;
 pub const PILOT_SCAN_ROWS: usize = 2048;
 /// The two probe-side sample sizes of the join pilot's linear fit.
 pub const PILOT_PROBE_ROWS: (usize, usize) = (512, 1536);
-
-/// One knob setting the planner can choose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PhysicalConfig {
-    /// Row-at-a-time or vectorized execution.
-    pub exec_mode: ExecMode,
-    /// Qualification strategy; `None` when the plan has no filter.
-    pub selection_mode: Option<SelectionMode>,
-    /// Join algorithm; `None` for non-join plans.
-    pub join_algo: Option<JoinAlgo>,
-}
-
-impl PhysicalConfig {
-    /// Compact human label, e.g. `batch/predicated` or `row/partitioned`.
-    pub fn label(&self) -> String {
-        let mut parts = vec![match self.exec_mode {
-            ExecMode::Row => "row",
-            ExecMode::Batch => "batch",
-        }
-        .to_string()];
-        if let Some(s) = self.selection_mode {
-            parts.push(
-                match s {
-                    SelectionMode::Branching => "branching",
-                    SelectionMode::Predicated => "predicated",
-                }
-                .to_string(),
-            );
-        }
-        if let Some(j) = self.join_algo {
-            parts.push(
-                match j {
-                    JoinAlgo::Hash => "hash",
-                    JoinAlgo::PartitionedHash => "partitioned",
-                    JoinAlgo::IndexNestedLoop => "index-nl",
-                }
-                .to_string(),
-            );
-        }
-        parts.join("/")
-    }
-
-    /// Applies the chosen knobs to a database.
-    pub fn apply(&self, db: &mut Database) {
-        db.set_exec_mode(self.exec_mode);
-        if let Some(s) = self.selection_mode {
-            db.set_selection_mode(s);
-        }
-        if let Some(j) = self.join_algo {
-            db.set_join_algo(j);
-        }
-    }
-}
 
 /// One candidate's estimated full-size cost, with the paper's breakdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -638,11 +585,11 @@ mod tests {
     /// 64 KB: S's hash table (13 KB) fits it, T's (128 KB) does not.
     fn catalog(layout: PageLayout, index_build_keys: bool) -> Database {
         let cfg = quiet().with_l2_size(64 * 1024);
-        let mut db =
-            Database::new(EngineProfile::system(SystemId::C), cfg).with_page_layout(layout);
+        let mut db = Database::new(EngineProfile::system(SystemId::C), cfg);
         db.ctx.instrument = false;
         for (name, rows, seed) in [("R", 6_000, 3), ("S", 400, 5), ("T", 4_000, 7)] {
-            db.create_table(name, Schema::paper_relation(20)).unwrap();
+            db.create_table_with_layout(name, Schema::paper_relation(20), layout)
+                .unwrap();
             db.load_rows(name, rows_for(rows, seed)).unwrap();
             if index_build_keys && name != "R" {
                 db.create_index(name, "a1").unwrap();

@@ -1,6 +1,14 @@
-//! The unified front door: [`Session`] wraps a database (single-core or
-//! sharded), accepts SQL text, and drives the full pipeline —
-//! lex → parse → bind → simulator-costed plan → execute.
+//! The unified front door: [`Session`] wraps a database, accepts SQL text,
+//! and drives the full pipeline — lex → parse → bind → simulator-costed
+//! plan → execute.
+//!
+//! A session has one backend, a [`ShardedDatabase`]: [`Session::open`]
+//! wraps a single database as its only shard, [`Session::open_sharded`]
+//! takes one split by [`Database::shard`]. Every statement outside a
+//! transaction runs through the shard router on the caller's thread (see
+//! [`crate::shard`]), so the fault path is the router's at any shard count:
+//! under an armed [`crate::FaultPlan`] a read draws
+//! [`crate::FaultSite::ShardExec`] and retries transient faults.
 //!
 //! ```
 //! use wdtg_memdb::prelude::*;
@@ -22,12 +30,13 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
+use crate::exec::PhysicalConfig;
 use crate::query::{Query, QueryPredicate, QueryResult};
 use crate::shard::ShardedDatabase;
 use crate::txn::TxnId;
 
 use super::bind::{compile, BoundStatement};
-use super::plan::{plan, plannable, PhysicalConfig, PlanReport, Schedule};
+use super::plan::{plan, plannable, PlanReport, Schedule};
 
 /// Most statements the plan cache remembers; planning one more forgets the
 /// one planned longest ago. An ad-hoc client whose aggregate texts never
@@ -35,13 +44,7 @@ use super::plan::{plan, plannable, PhysicalConfig, PlanReport, Schedule};
 /// statement for as long as the session lives.
 const PLAN_CACHE_CAP: usize = 1024;
 
-/// The engine behind a session: one simulated core, or a sharded router.
-enum Backend {
-    Single(Box<Database>),
-    Sharded(Box<ShardedDatabase>),
-}
-
-/// A SQL session over one database.
+/// A SQL session over one database of one or more shards.
 ///
 /// The session owns the database, a plan cache (keyed by statement text),
 /// and the report of the last planning decision. Aggregate queries are
@@ -53,8 +56,16 @@ enum Backend {
 /// `Database::catalog_epoch`). The cache holds the 1 024 most recently
 /// planned statements. Point reads and mutations have no physical choice
 /// and bypass planning.
+///
+/// A session behaves the same at one shard however it was opened:
+/// [`Session::open`] and [`Session::open_sharded`] of a one-shard split
+/// both run statements through the shard router, so under an armed
+/// [`crate::FaultPlan`] both draw [`crate::FaultSite::ShardExec`] and retry
+/// a transient `IoFault`/`PageCorrupt` up to three times, charging the
+/// simulated backoff; both accept [`Session::begin`], which any session
+/// over more than one shard refuses.
 pub struct Session {
-    backend: Backend,
+    db: ShardedDatabase,
     plans: HashMap<String, PhysicalConfig>,
     /// The keys of `plans`, oldest first.
     plan_age: VecDeque<String>,
@@ -63,14 +74,16 @@ pub struct Session {
     /// How pilot jobs are put on the host (never what they measure).
     pub(crate) schedule: Schedule,
     last_report: Option<PlanReport>,
-    /// The open transaction statements are routed through, if any.
+    /// The open transaction statements are routed through, if any. Only
+    /// ever set on a one-shard session.
     current: Option<TxnId>,
 }
 
 impl Session {
-    /// Opens a session over a single-core database.
+    /// Opens a session over a single-core database: the database becomes
+    /// the session's only shard, as it stands (no re-partition).
     pub fn open(db: Database) -> Session {
-        Session::over(Backend::Single(Box::new(db)))
+        Session::open_sharded(ShardedDatabase::from_shards(vec![db]))
     }
 
     /// Opens a session over a sharded database. Planning runs against
@@ -78,12 +91,8 @@ impl Session {
     /// (per-shard partition sizes are what the join actually runs over),
     /// and the chosen knobs are applied to every shard.
     pub fn open_sharded(db: ShardedDatabase) -> Session {
-        Session::over(Backend::Sharded(Box::new(db)))
-    }
-
-    fn over(backend: Backend) -> Session {
         Session {
-            backend,
+            db,
             plans: HashMap::new(),
             plan_age: VecDeque::new(),
             plans_epoch: 0,
@@ -93,30 +102,31 @@ impl Session {
         }
     }
 
-    /// The underlying single-core database, if this session is single-core.
+    /// The underlying database, if the session has exactly one shard.
     pub fn db(&self) -> Option<&Database> {
-        match &self.backend {
-            Backend::Single(db) => Some(db),
-            Backend::Sharded(_) => None,
+        match self.db.shards() {
+            [db] => Some(db),
+            _ => None,
         }
     }
 
-    /// Mutable access to the single-core database (knobs, snapshots).
+    /// Mutable access to the database of a one-shard session (knobs,
+    /// snapshots).
     pub fn db_mut(&mut self) -> Option<&mut Database> {
-        match &mut self.backend {
-            Backend::Single(db) => Some(db),
-            Backend::Sharded(_) => None,
+        match self.db.shards.as_mut_slice() {
+            [db] => Some(db),
+            _ => None,
         }
     }
 
-    /// Consumes the session, returning the single-core database.
+    /// Consumes the session, returning its database.
     ///
     /// # Panics
-    /// Panics if the session is sharded.
+    /// Panics if the session has more than one shard.
     pub fn into_db(self) -> Database {
-        match self.backend {
-            Backend::Single(db) => *db,
-            Backend::Sharded(_) => panic!("into_db on a sharded session"),
+        match <[Database; 1]>::try_from(self.db.shards) {
+            Ok([db]) => db,
+            Err(shards) => panic!("into_db on a session over {} shards", shards.len()),
         }
     }
 
@@ -127,12 +137,9 @@ impl Session {
         self.last_report.as_ref()
     }
 
-    /// The planning database: shard 0 for sharded sessions.
+    /// The planning database: shard 0.
     fn plan_db(&self) -> &Database {
-        match &self.backend {
-            Backend::Single(db) => db,
-            Backend::Sharded(db) => &db.shards()[0],
-        }
+        &self.db.shards()[0]
     }
 
     /// Empties the plan cache if the planning database's catalog epoch
@@ -162,10 +169,10 @@ impl Session {
     }
 
     /// Plans `stmt` (or reuses the cached choice) and applies the winning
-    /// knobs to every database of the backend. A statement with nothing to
-    /// plan returns before the cache is looked at: an OLTP client's point
-    /// statements differ in their literal keys, and a cache keyed by text
-    /// would keep one entry for each of them.
+    /// knobs to every shard. A statement with nothing to plan returns
+    /// before the cache is looked at: an OLTP client's point statements
+    /// differ in their literal keys, and a cache keyed by text would keep
+    /// one entry for each of them.
     fn plan_and_apply(&mut self, text: &str, stmt: &BoundStatement) -> DbResult<()> {
         if !plannable(stmt) {
             return Ok(());
@@ -183,10 +190,7 @@ impl Session {
                 config
             }
         };
-        match &mut self.backend {
-            Backend::Single(db) => config.apply(db),
-            Backend::Sharded(db) => db.shards.iter_mut().for_each(|s| config.apply(s)),
-        }
+        self.db.configure(config);
         Ok(())
     }
 
@@ -211,10 +215,9 @@ impl Session {
             q,
             Query::PointSelect { .. } | Query::UpdateAdd { .. } | Query::InsertRow { .. }
         );
-        match (&mut self.backend, self.current) {
-            (Backend::Single(db), Some(tid)) if routed => db.txn_run(tid, q),
-            (Backend::Single(db), _) => db.run(q),
-            (Backend::Sharded(db), _) => db.run(q),
+        match self.current {
+            Some(tid) if routed => self.db.shards[0].txn_run(tid, q),
+            _ => self.db.run(q),
         }
     }
 
@@ -235,10 +238,7 @@ impl Session {
         };
         self.plan_and_apply(text, &stmt)?;
         let pred: Option<&QueryPredicate> = predicate.as_ref();
-        match &mut self.backend {
-            Backend::Single(db) => db.run_grouped(table, group_col, pred, agg),
-            Backend::Sharded(db) => db.run_grouped(table, group_col, pred, agg),
-        }
+        self.db.run_grouped(table, group_col, pred, agg)
     }
 
     /// Plans a statement without executing it and renders the decision:
@@ -273,18 +273,19 @@ impl Session {
     /// [`Session::sql`] run against its snapshot until [`Session::commit`]
     /// or [`Session::abort`]. One transaction at a time per session;
     /// beginning while one is open reports a [`DbError::PlanError`], as
-    /// does beginning on a sharded session (the transaction machinery is
-    /// single-core; see [`crate::txn`]).
+    /// does beginning on a session over more than one shard (the
+    /// transaction machinery is single-core; see [`crate::txn`]).
     pub fn begin(&mut self) -> DbResult<TxnId> {
         if self.current.is_some() {
             return Err(DbError::PlanError(
                 "a transaction is already open on this session".into(),
             ));
         }
-        let Backend::Single(db) = &mut self.backend else {
-            return Err(DbError::PlanError(
-                "transactions are not supported on sharded sessions".into(),
-            ));
+        let n = self.db.n_shards();
+        let Some(db) = self.db_mut() else {
+            return Err(DbError::PlanError(format!(
+                "transactions need a one-shard session; this one has {n} shards"
+            )));
         };
         let tid = db.begin();
         self.current = Some(tid);
@@ -296,40 +297,26 @@ impl Session {
     /// (first committer wins) — the session is ready for a fresh
     /// [`Session::begin`] retry.
     pub fn commit(&mut self) -> DbResult<u64> {
-        let tid = self.current.take().ok_or(DbError::PlanError(
-            "no transaction is open on this session".to_string(),
-        ))?;
-        let Backend::Single(db) = &mut self.backend else {
-            return Err(DbError::Internal("txn open on sharded session".into()));
-        };
-        db.commit(tid)
+        let tid = self.open_txn()?;
+        self.db.shards[0].commit(tid)
     }
 
     /// Aborts the session's open transaction, discarding its staged writes.
     pub fn abort(&mut self) -> DbResult<()> {
-        let tid = self.current.take().ok_or(DbError::PlanError(
+        let tid = self.open_txn()?;
+        self.db.shards[0].abort(tid)
+    }
+
+    /// Takes the open transaction's id (it lives on shard 0, the only one).
+    fn open_txn(&mut self) -> DbResult<TxnId> {
+        self.current.take().ok_or(DbError::PlanError(
             "no transaction is open on this session".to_string(),
-        ))?;
-        let Backend::Single(db) = &mut self.backend else {
-            return Err(DbError::Internal("txn open on sharded session".into()));
-        };
-        db.abort(tid)
+        ))
     }
 
     /// The open transaction's id, if one is active.
     pub fn current_txn(&self) -> Option<TxnId> {
         self.current
-    }
-
-    /// Compiles a statement to the engine's [`Query`] IR without planning
-    /// or executing — the bridge for callers that want the classic API.
-    pub fn compile_only(&self, text: &str) -> DbResult<Query> {
-        match compile(self.plan_db(), text)? {
-            BoundStatement::Scalar(q) => Ok(q),
-            BoundStatement::Grouped { .. } => Err(DbError::PlanError(
-                "grouped statement has no scalar Query form".into(),
-            )),
-        }
     }
 }
 

@@ -43,10 +43,10 @@ pub fn build_db_with_indexes(
     tables: &[(&str, &[Vec<i32>])],
     indexes: &[(&str, &str)],
 ) -> Database {
-    let mut db = Database::new(EngineProfile::system(sys), quiet()).with_page_layout(layout);
+    let mut db = Database::new(EngineProfile::system(sys), quiet());
     db.ctx.instrument = false;
     for (name, rows) in tables {
-        db.create_table(name, crate::schema::Schema::paper_relation(20))
+        db.create_table_with_layout(name, crate::schema::Schema::paper_relation(20), layout)
             .unwrap();
         db.load_rows(name, rows.iter().cloned()).unwrap();
     }

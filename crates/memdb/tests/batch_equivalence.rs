@@ -50,8 +50,8 @@ fn assert_modes_agree_layout(
     q: &Query,
 ) -> (Snapshot, Snapshot) {
     let mut row_db = build_db_layout(sys, layout, tables, index_a2);
-    let mut batch_db =
-        build_db_layout(sys, layout, tables, index_a2).with_exec_mode(ExecMode::Batch);
+    let mut batch_db = build_db_layout(sys, layout, tables, index_a2);
+    batch_db.set_exec_mode(ExecMode::Batch);
     let (row_res, row_d) = measure(&mut row_db, q);
     let (batch_res, batch_d) = measure(&mut batch_db, q);
 
@@ -171,7 +171,8 @@ fn grouped_aggregation_modes_agree() {
     let rows = rows_for(6_000, 31);
     for sys in [SystemId::A, SystemId::C] {
         let mut row_db = build_db(sys, &[("R", &rows)], false);
-        let mut batch_db = build_db(sys, &[("R", &rows)], false).with_exec_mode(ExecMode::Batch);
+        let mut batch_db = build_db(sys, &[("R", &rows)], false);
+        batch_db.set_exec_mode(ExecMode::Batch);
         let spec = AggSpec::sum("a3");
         let want = row_db.run_grouped("R", "a4", None, &spec).unwrap();
         let got = batch_db.run_grouped("R", "a4", None, &spec).unwrap();
@@ -227,7 +228,8 @@ proptest! {
     ) {
         let sys = SystemId::ALL[sys_pick];
         let mut row_db = build_db(sys, &[("R", &rows)], false);
-        let mut batch_db = build_db(sys, &[("R", &rows)], false).with_exec_mode(ExecMode::Batch);
+        let mut batch_db = build_db(sys, &[("R", &rows)], false);
+        batch_db.set_exec_mode(ExecMode::Batch);
         let spec = AggSpec::avg("a3");
         let want = row_db.run_grouped("R", "a2", None, &spec).unwrap();
         let got = batch_db.run_grouped("R", "a2", None, &spec).unwrap();

@@ -28,9 +28,9 @@ fn assert_strategies_agree(sys: SystemId, r: &[Vec<i32>], s: &[Vec<i32>]) {
         for mode in [ExecMode::Row, ExecMode::Batch] {
             for layout in PageLayout::ALL {
                 let mut db =
-                    build_db_with_indexes(sys, layout, &[("R", r), ("S", s)], &[("S", "a1")])
-                        .with_exec_mode(mode)
-                        .with_join_algo(algo);
+                    build_db_with_indexes(sys, layout, &[("R", r), ("S", s)], &[("S", "a1")]);
+                db.set_exec_mode(mode);
+                db.set_join_algo(algo);
                 let res = db.run(&q).expect("join runs");
                 let label = format!("{sys:?} {algo:?} {mode:?} {layout:?}");
                 match &oracle {
@@ -100,8 +100,8 @@ fn partitioned_join_cuts_l2_data_misses_on_a_streaming_join() {
     let mut results = Vec::new();
     for algo in [JoinAlgo::Hash, JoinAlgo::PartitionedHash] {
         let mut db =
-            build_db_with_indexes(SystemId::C, PageLayout::Nsm, &[("R", &r), ("S", &s)], &[])
-                .with_join_algo(algo);
+            build_db_with_indexes(SystemId::C, PageLayout::Nsm, &[("R", &r), ("S", &s)], &[]);
+        db.set_join_algo(algo);
         let (res, delta) = measure(&mut db, &q);
         results.push((
             res,

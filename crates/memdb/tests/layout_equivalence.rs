@@ -19,8 +19,10 @@ fn assert_layouts_agree(
     index_a2: bool,
     q: &Query,
 ) -> (Snapshot, Snapshot) {
-    let mut nsm_db = build_db_layout(sys, PageLayout::Nsm, tables, index_a2).with_exec_mode(mode);
-    let mut pax_db = build_db_layout(sys, PageLayout::Pax, tables, index_a2).with_exec_mode(mode);
+    let mut nsm_db = build_db_layout(sys, PageLayout::Nsm, tables, index_a2);
+    let mut pax_db = build_db_layout(sys, PageLayout::Pax, tables, index_a2);
+    nsm_db.set_exec_mode(mode);
+    pax_db.set_exec_mode(mode);
     let (nsm_res, nsm_d) = measure(&mut nsm_db, q);
     let (pax_res, pax_d) = measure(&mut pax_db, q);
     assert_eq!(

@@ -7,7 +7,7 @@
 use wdtg_memdb::testutil::{build_db_layout, rows_for};
 use wdtg_memdb::{
     AggSpec, DbError, Expr, FaultPlan, FaultSite, JoinAlgo, PageLayout, Query, QueryPredicate,
-    ResourceBudget, SystemId,
+    ResourceBudget, Session, SystemId,
 };
 
 fn db() -> wdtg_memdb::Database {
@@ -216,6 +216,56 @@ fn shard_mutations_under_faults_fail_without_retry() {
         0,
         "mutations are never retried (a re-run could double-apply)"
     );
+}
+
+/// The session twin of the two tests above: a session answers the way the
+/// shard router does at every shard count, and `Session::open(db)` is the
+/// one-shard case, not a second backend.
+#[test]
+fn sessions_answer_the_way_the_router_does_at_every_shard_count() {
+    const AGG: &str = "SELECT SUM(a3) FROM R";
+    let rows = rows_for(2000, 7);
+    let build = || build_db_layout(SystemId::C, PageLayout::Nsm, &[("R", &rows)], false);
+    let clean = Session::open(build()).sql(AGG).unwrap();
+    // `None` opens the database itself; `Some(n)` opens it split n ways.
+    let open = |shards: Option<usize>, plan: FaultPlan| {
+        let mut db = build();
+        db.set_fault_plan(plan);
+        match shards {
+            None => Session::open(db),
+            Some(n) => Session::open_sharded(db.shard(n).unwrap()),
+        }
+    };
+    for shards in [None, Some(1), Some(2), Some(4)] {
+        let one_shard = shards.unwrap_or(1) == 1;
+
+        let always = FaultPlan::disabled().with_rate(FaultSite::ShardExec, 1.0);
+        match open(shards, always).sql(AGG) {
+            Err(DbError::ShardFailed { attempts: 3, .. }) => {}
+            other => panic!("{shards:?}: expected ShardFailed after 3 attempts, got {other:?}"),
+        }
+
+        // This seed faults the first attempt of one shard sub-query in
+        // every row; the retry recovers it.
+        let transient = FaultPlan::disabled()
+            .with_rate(FaultSite::BufpoolFetch, 0.1)
+            .with_seed(255);
+        let mut sess = open(shards, transient);
+        assert_eq!(sess.sql(AGG), Ok(clean), "{shards:?}: retried answer");
+        if let Some(db) = sess.db() {
+            assert!(
+                db.robustness_stats().bufpool_fetch_faults >= 1,
+                "{shards:?}"
+            );
+        }
+
+        let mut sess = open(shards, FaultPlan::disabled());
+        match sess.begin() {
+            Ok(_) if one_shard => sess.commit().map(|_| ()).unwrap(),
+            Err(DbError::PlanError(_)) if !one_shard => {}
+            other => panic!("{shards:?}: begin returned {other:?}"),
+        }
+    }
 }
 
 #[test]

@@ -54,12 +54,11 @@ fn range_for(selectivity: f64) -> (i32, i32) {
 
 fn build(sys: SystemId, layout: PageLayout, mode: ExecMode, selection: SelectionMode) -> Database {
     let rows = random_rows(ROWS, 11);
-    let mut db = Database::new(EngineProfile::system(sys), quiet())
-        .with_page_layout(layout)
-        .with_exec_mode(mode)
-        .with_selection_mode(selection);
+    let mut db = Database::new(EngineProfile::system(sys), quiet());
+    db.set_exec_mode(mode);
+    db.set_selection_mode(selection);
     db.ctx.instrument = false;
-    db.create_table("R", wdtg_memdb::Schema::paper_relation(20))
+    db.create_table_with_layout("R", wdtg_memdb::Schema::paper_relation(20), layout)
         .unwrap();
     db.load_rows("R", rows.iter().cloned()).unwrap();
     db.ctx.instrument = true;

@@ -126,34 +126,26 @@ pub fn probe_rows(spec: JoinSpec, seed: u64) -> impl Iterator<Item = Vec<i32>> {
     })
 }
 
-/// Loads R and S into `db` at the given spec (uninstrumented, in the
-/// database's current page layout) and optionally builds the non-clustered
-/// index on `S.a1` the index-nested-loop strategy probes. Hash strategies
-/// ignore the index, so building it keeps one dataset comparable across
-/// all three join algorithms.
-pub fn prepare(db: &mut Database, spec: JoinSpec, index_inner: bool) -> DbResult<()> {
-    db.create_table("R", Schema::paper_relation(spec.record_bytes))?;
-    db.load_rows("R", probe_rows(spec, DEFAULT_SEED))?;
-    db.create_table("S", Schema::paper_relation(spec.record_bytes))?;
-    db.load_rows("S", build_rows(spec, DEFAULT_SEED))?;
-    if index_inner {
-        db.create_index("S", "a1")?;
-    }
-    Ok(())
-}
-
-/// [`prepare`] with an explicit page layout for both relations.
-pub fn prepare_with_layout(
+/// Loads R and S into `db` at the given spec (uninstrumented, both in
+/// `layout` pages) and optionally builds the non-clustered index on `S.a1`
+/// the index-nested-loop strategy probes. Hash strategies ignore the index,
+/// so building it keeps one dataset comparable across all three join
+/// algorithms.
+pub fn prepare(
     db: &mut Database,
     spec: JoinSpec,
     index_inner: bool,
     layout: PageLayout,
 ) -> DbResult<()> {
-    let prev = db.page_layout();
-    db.set_page_layout(layout);
-    let res = prepare(db, spec, index_inner);
-    db.set_page_layout(prev);
-    res
+    let schema = Schema::paper_relation(spec.record_bytes);
+    db.create_table_with_layout("R", schema.clone(), layout)?;
+    db.load_rows("R", probe_rows(spec, DEFAULT_SEED))?;
+    db.create_table_with_layout("S", schema, layout)?;
+    db.load_rows("S", build_rows(spec, DEFAULT_SEED))?;
+    if index_inner {
+        db.create_index("S", "a1")?;
+    }
+    Ok(())
 }
 
 /// The join query (identical for every system and strategy).
@@ -180,7 +172,7 @@ mod tests {
     fn every_probe_row_matches_at_full_match_rate() {
         let spec = tiny_spec();
         let mut db = Database::new(EngineProfile::system(SystemId::C), quiet());
-        prepare(&mut db, spec, false).unwrap();
+        prepare(&mut db, spec, false, PageLayout::Nsm).unwrap();
         let res = db.run(&query()).unwrap();
         assert_eq!(res.rows, spec.probe_rows);
         assert_eq!(res.rows, spec.expected_rows());
@@ -191,7 +183,7 @@ mod tests {
         for rate in [0.0, 0.25, 0.5] {
             let spec = tiny_spec().with_match_rate(rate);
             let mut db = Database::new(EngineProfile::system(SystemId::A), quiet());
-            prepare(&mut db, spec, false).unwrap();
+            prepare(&mut db, spec, false, PageLayout::Nsm).unwrap();
             let res = db.run(&query()).unwrap();
             assert_eq!(
                 res.rows,
@@ -211,9 +203,9 @@ mod tests {
             JoinAlgo::PartitionedHash,
             JoinAlgo::IndexNestedLoop,
         ] {
-            let mut db =
-                Database::new(EngineProfile::system(SystemId::B), quiet()).with_join_algo(algo);
-            prepare(&mut db, spec, true).unwrap();
+            let mut db = Database::new(EngineProfile::system(SystemId::B), quiet());
+            db.set_join_algo(algo);
+            prepare(&mut db, spec, true, PageLayout::Nsm).unwrap();
             results.push(db.run(&query()).unwrap());
         }
         assert_eq!(results[0].rows, results[1].rows);

@@ -32,8 +32,8 @@ pub mod tpcd;
 
 pub use join::JoinSpec;
 pub use micro::{
-    declare_shard_keys, load_microbench, load_microbench_with_layout, prepare,
-    prepare_sharded_with_layout, prepare_with_layout, query, MicroQuery, SweepSpec, DEFAULT_SEED,
+    declare_shard_keys, load_microbench, prepare, prepare_sharded_with_layout, query, MicroQuery,
+    SweepSpec, DEFAULT_SEED,
 };
 pub use oltp::{run_oltp, OltpConfig, OltpReport};
 pub use scale::Scale;

@@ -54,7 +54,7 @@ pub struct SweepSpec {
 
 impl SweepSpec {
     /// The branch-stall sweep: 1% → 99%, dense around the 50% misprediction
-    /// peak (`branch_compare`, `SelectivityComparison`).
+    /// peak (`bench branch`, `SelectivityComparison`).
     pub fn branch_sweep() -> SweepSpec {
         SweepSpec {
             selectivities: vec![0.01, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99],
@@ -112,34 +112,22 @@ pub fn s_rows(scale: Scale, seed: u64) -> impl Iterator<Item = Vec<i32>> {
     })
 }
 
-/// Loads R (and S) into `db` at the given scale, uninstrumented. Tables are
-/// created in the database's current page layout
-/// ([`Database::set_page_layout`]); use [`load_microbench_with_layout`] to
-/// pick one explicitly.
-pub fn load_microbench(db: &mut Database, scale: Scale, with_s: bool) -> DbResult<()> {
-    db.create_table("R", Schema::paper_relation(scale.record_bytes))?;
-    db.load_rows("R", r_rows(scale, DEFAULT_SEED))?;
-    if with_s {
-        db.create_table("S", Schema::paper_relation(scale.record_bytes))?;
-        db.load_rows("S", s_rows(scale, DEFAULT_SEED))?;
-    }
-    Ok(())
-}
-
-/// [`load_microbench`] with an explicit page layout for the §3.3 relations
-/// (the layout knob the NSM-vs-PAX comparisons turn). The database's
-/// default layout for other tables is left unchanged.
-pub fn load_microbench_with_layout(
+/// Loads R (and S) into `db` at the given scale, uninstrumented, in
+/// `layout` pages (the layout knob the NSM-vs-PAX comparisons turn).
+pub fn load_microbench(
     db: &mut Database,
     scale: Scale,
     with_s: bool,
     layout: PageLayout,
 ) -> DbResult<()> {
-    let prev = db.page_layout();
-    db.set_page_layout(layout);
-    let res = load_microbench(db, scale, with_s);
-    db.set_page_layout(prev);
-    res
+    let schema = Schema::paper_relation(scale.record_bytes);
+    db.create_table_with_layout("R", schema.clone(), layout)?;
+    db.load_rows("R", r_rows(scale, DEFAULT_SEED))?;
+    if with_s {
+        db.create_table_with_layout("S", schema, layout)?;
+        db.load_rows("S", s_rows(scale, DEFAULT_SEED))?;
+    }
+    Ok(())
 }
 
 /// Builds the paper query at the requested selectivity.
@@ -171,28 +159,14 @@ pub fn query_sql(scale: Scale, q: MicroQuery, selectivity: f64) -> String {
 }
 
 /// Prepares a database for one microbenchmark query: loads R (and S for the
-/// join) and creates the `a2` index for the indexed selection.
-pub fn prepare(db: &mut Database, scale: Scale, q: MicroQuery) -> DbResult<()> {
-    load_microbench(db, scale, q == MicroQuery::SequentialJoin)?;
+/// join) in `layout` pages and creates the `a2` index for the indexed
+/// selection.
+pub fn prepare(db: &mut Database, scale: Scale, q: MicroQuery, layout: PageLayout) -> DbResult<()> {
+    load_microbench(db, scale, q == MicroQuery::SequentialJoin, layout)?;
     if q == MicroQuery::IndexedRangeSelection {
         db.create_index("R", "a2")?;
     }
     Ok(())
-}
-
-/// [`prepare`] with an explicit page layout for the relations. The
-/// database's default layout for other tables is left unchanged.
-pub fn prepare_with_layout(
-    db: &mut Database,
-    scale: Scale,
-    q: MicroQuery,
-    layout: PageLayout,
-) -> DbResult<()> {
-    let prev = db.page_layout();
-    db.set_page_layout(layout);
-    let res = prepare(db, scale, q);
-    db.set_page_layout(prev);
-    res
 }
 
 /// Declares the microbenchmark's shard keys: R on `a2` — the column every
@@ -208,7 +182,7 @@ pub fn declare_shard_keys(db: &mut Database) -> DbResult<()> {
     Ok(())
 }
 
-/// [`prepare_with_layout`] split across `shards` hash-partitioned cores:
+/// [`prepare`] split across `shards` hash-partitioned cores:
 /// loads the microbenchmark into `db`, declares the co-partitioning keys
 /// ([`declare_shard_keys`]) and re-partitions via
 /// [`wdtg_memdb::Database::shard`]. `shards = 1` produces a trivially
@@ -220,7 +194,7 @@ pub fn prepare_sharded_with_layout(
     layout: PageLayout,
     shards: usize,
 ) -> DbResult<ShardedDatabase> {
-    prepare_with_layout(&mut db, scale, q, layout)?;
+    prepare(&mut db, scale, q, layout)?;
     declare_shard_keys(&mut db)?;
     db.shard(shards)
 }
@@ -242,7 +216,13 @@ mod tests {
     fn selectivity_is_hit_within_tolerance() {
         let scale = Scale::tiny();
         let mut db = tiny_db();
-        prepare(&mut db, scale, MicroQuery::SequentialRangeSelection).unwrap();
+        prepare(
+            &mut db,
+            scale,
+            MicroQuery::SequentialRangeSelection,
+            PageLayout::Nsm,
+        )
+        .unwrap();
         for sel in [0.01, 0.1, 0.5] {
             let q = query(scale, MicroQuery::SequentialRangeSelection, sel);
             let res = db.run(&q).unwrap();
@@ -259,7 +239,7 @@ mod tests {
     fn join_fanout_matches_paper_shape() {
         let scale = Scale::tiny();
         let mut db = tiny_db();
-        prepare(&mut db, scale, MicroQuery::SequentialJoin).unwrap();
+        prepare(&mut db, scale, MicroQuery::SequentialJoin, PageLayout::Nsm).unwrap();
         let res = db
             .run(&query(scale, MicroQuery::SequentialJoin, 0.1))
             .unwrap();
@@ -272,9 +252,9 @@ mod tests {
         let scale = Scale::tiny();
         for q in MicroQuery::ALL {
             let mut nsm = tiny_db();
-            prepare(&mut nsm, scale, q).unwrap();
+            prepare(&mut nsm, scale, q, PageLayout::Nsm).unwrap();
             let mut pax = tiny_db();
-            prepare_with_layout(&mut pax, scale, q, PageLayout::Pax).unwrap();
+            prepare(&mut pax, scale, q, PageLayout::Pax).unwrap();
             let query = query(scale, q, 0.1);
             let a = nsm.run(&query).unwrap();
             let b = pax.run(&query).unwrap();
@@ -291,7 +271,7 @@ mod tests {
         let scale = Scale::tiny();
         for q in MicroQuery::ALL {
             let mut whole = tiny_db();
-            prepare(&mut whole, scale, q).unwrap();
+            prepare(&mut whole, scale, q, PageLayout::Nsm).unwrap();
             let query = query(scale, q, 0.1);
             let expect = whole.run(&query).unwrap();
             for shards in [1usize, 4] {
@@ -313,7 +293,7 @@ mod tests {
         let scale = Scale::tiny();
         for q in MicroQuery::ALL {
             let mut db = tiny_db();
-            prepare(&mut db, scale, q).unwrap();
+            prepare(&mut db, scale, q, PageLayout::Nsm).unwrap();
             for sel in [0.01, 0.1, 0.5] {
                 let sql = query_sql(scale, q, sel);
                 let compiled = match wdtg_memdb::sql::compile(&db, &sql).expect(&sql) {

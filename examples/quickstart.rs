@@ -24,7 +24,13 @@ fn main() {
         CpuConfig::pentium_ii_xeon(),
     );
     db.ctx.instrument = false;
-    micro::prepare(&mut db, scale, MicroQuery::SequentialRangeSelection).unwrap();
+    micro::prepare(
+        &mut db,
+        scale,
+        MicroQuery::SequentialRangeSelection,
+        PageLayout::Nsm,
+    )
+    .unwrap();
     db.ctx.instrument = true;
 
     // select avg(a3) from R where a2 > Lo and a2 < Hi  -- 10% selectivity

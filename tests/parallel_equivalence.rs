@@ -13,6 +13,7 @@
 //! tests hold the implementation to.
 
 use wdtg_core::methodology::build_sharded_db_with_layout;
+use wdtg_memdb::exec::PhysicalConfig;
 use wdtg_memdb::{
     AggSpec, Database, DbError, EngineProfile, ExecMode, FaultPlan, PageLayout, ParallelConfig,
     Query, QueryResult, ResourceBudget, Schema, ShardedDatabase, SystemId,
@@ -78,15 +79,20 @@ fn assert_same(
 fn parallel_equals_sequential_across_modes_layouts_and_workers() {
     let q = micro::query(Scale::tiny(), MicroQuery::SequentialRangeSelection, 0.1);
     for mode in [ExecMode::Row, ExecMode::Batch] {
+        let knobs = PhysicalConfig {
+            exec_mode: mode,
+            selection_mode: None,
+            join_algo: None,
+        };
         for layout in PageLayout::ALL {
             let baseline = {
                 let mut db = build(MicroQuery::SequentialRangeSelection, layout, 4);
-                db.set_exec_mode(mode);
+                db.configure(knobs);
                 measure(&mut db, &q, &pcfg(1, 64, 0))
             };
             for workers in [2usize, 4, 8] {
                 let mut db = build(MicroQuery::SequentialRangeSelection, layout, 4);
-                db.set_exec_mode(mode);
+                db.configure(knobs);
                 let got = measure(&mut db, &q, &pcfg(workers, 64, workers as u64));
                 assert_same(
                     &format!("{mode:?} {layout:?} x4 shards, {workers} workers"),

@@ -9,6 +9,7 @@
 //! simulator (`tests/determinism.rs`'s bar, extended to the merged view).
 
 use wdtg_core::methodology::build_sharded_db_with_layout;
+use wdtg_memdb::exec::PhysicalConfig;
 use wdtg_memdb::{EngineProfile, ExecMode, PageLayout, SystemId};
 use wdtg_sim::{merge_cores, CpuConfig, Snapshot};
 use wdtg_workloads::{micro, MicroQuery, Scale};
@@ -37,7 +38,11 @@ fn answers_are_identical_across_shard_counts_modes_and_layouts() {
                         shards,
                     )
                     .expect("sharded build");
-                    db.set_exec_mode(mode);
+                    db.configure(PhysicalConfig {
+                        exec_mode: mode,
+                        selection_mode: None,
+                        join_algo: None,
+                    });
                     let got = db.run(&q).expect("sharded run");
                     match expected {
                         None => expected = Some(got),
