@@ -8,6 +8,11 @@
 //! is one warm-up run followed by one measured run; the measured run's
 //! `Snapshot` delta over both modes is what is pinned.
 //!
+//! A second table pins the grouped aggregate the same way:
+//! `SELECT a4, AVG(a3) FROM R [WHERE lo < a2 < hi] GROUP BY a4` on the
+//! unindexed sequential-range database, Systems A–D in row mode and System C
+//! in batch mode, plus one 4-shard morselized run on the thread pool.
+//!
 //! **A golden may change only in a commit that says, in one sentence, why
 //! the model's answer moved.** A host-side optimisation of the simulator or
 //! the engine must leave every value here untouched; that is what this file
@@ -15,14 +20,20 @@
 //! measured, ready to paste, so a deliberate model change is cheap to
 //! re-capture — and an accidental one is loud.
 
-use wdtg_core::methodology::build_db;
-use wdtg_memdb::{ExecMode, SystemId};
-use wdtg_sim::{CpuConfig, Event};
+use wdtg_core::methodology::{build_db, build_sharded_db_with_layout};
+use wdtg_memdb::{
+    AggSpec, EngineProfile, ExecMode, PageLayout, ParallelConfig, QueryPredicate, SystemId,
+};
+use wdtg_sim::{CpuConfig, Event, Snapshot};
 use wdtg_workloads::{micro, MicroQuery, Scale};
 
 /// `(system, query, mode, cycles.to_bits(), INST_RETIRED, L1I misses,
 /// L2 data misses, branch mispredictions)`.
 type Golden = (SystemId, MicroQuery, ExecMode, u64, u64, u64, u64, u64);
+
+/// `(system, ranged, mode, …)` with the same five pinned fields as
+/// [`Golden`]; `ranged` adds the 10 % `a2` range of the SRS cell.
+type GroupedGolden = (SystemId, bool, ExecMode, u64, u64, u64, u64, u64);
 
 use ExecMode::{Batch, Row};
 use MicroQuery::{
@@ -49,6 +60,38 @@ const GOLDENS: [Golden; 15] = [
     (C, SJ, Batch, 0x4169a66a1dc5f89a, 12185633, 26121, 40038, 16943), // 13448016.9 cycles
 ];
 
+#[rustfmt::skip]
+const GROUPED_GOLDENS: [GroupedGolden; 10] = [
+    (A, false, Row, 0x416e94f5849d4789, 15433666, 46336, 13763, 63825), // 16033708.1 cycles
+    (A, true, Row, 0x416874ce980d3089, 11326444, 45823, 15286, 40977), // 12822132.8 cycles
+    (B, false, Row, 0x41918bd15a5511ae, 64757659, 1193838, 3362, 779712), // 73593942.6 cycles
+    (B, true, Row, 0x4188262c50fa9461, 50417123, 705608, 3355, 313567), // 50644362.1 cycles
+    (C, false, Row, 0x41906bc4b6d9eff1, 59226246, 491919, 38017, 648282), // 68874541.7 cycles
+    (C, true, Row, 0x4190709697765037, 61197172, 576149, 38022, 512378), // 68953509.9 cycles
+    (D, false, Row, 0x419527dc3a1c9563, 76808861, 924427, 38023, 815523), // 88733454.5 cycles
+    (D, true, Row, 0x4194c028c2b51a8d, 78552971, 1002854, 38050, 589314), // 87034416.7 cycles
+    (C, false, Batch, 0x4159a125c5619c85, 5605496, 21419, 38195, 9934), // 6718615.1 cycles
+    (C, true, Batch, 0x4167f64ba3ac0a85, 12888870, 26529, 38258, 19615), // 12563037.1 cycles
+];
+
+/// The ranged grouped statement on System C split four ways and run by
+/// `run_grouped_parallel` (2 workers, 64-row morsels): the five fields of
+/// the merged total over every shard.
+const SHARDED_GROUPED_GOLDEN: (u64, u64, u64, u64, u64) =
+    (0x4190097775a0e436, 61190083, 574354, 2172, 509812); // 67263965.4 cycles
+
+/// `(cycles.to_bits(), INST_RETIRED, L1I misses, L2 data misses, branch
+/// mispredictions)` of a measured delta.
+fn fields(d: &Snapshot) -> (u64, u64, u64, u64, u64) {
+    (
+        d.cycles.to_bits(),
+        d.counters.total(Event::InstRetired),
+        d.counters.total(Event::IfuIfetchMiss),
+        d.counters.total(Event::SimL2DataMiss),
+        d.counters.total(Event::BrMissPredRetired),
+    )
+}
+
 fn measure(system: SystemId, query: MicroQuery, mode: ExecMode) -> Golden {
     let scale = Scale::tiny();
     let mut db = build_db(system, scale, query, &CpuConfig::pentium_ii_xeon()).expect("build");
@@ -57,17 +100,57 @@ fn measure(system: SystemId, query: MicroQuery, mode: ExecMode) -> Golden {
     db.run(&q).expect("warm-up run");
     let before = db.cpu().snapshot();
     db.run(&q).expect("measured run");
-    let d = db.cpu().snapshot().delta(&before);
-    (
-        system,
-        query,
-        mode,
-        d.cycles.to_bits(),
-        d.counters.total(Event::InstRetired),
-        d.counters.total(Event::IfuIfetchMiss),
-        d.counters.total(Event::SimL2DataMiss),
-        d.counters.total(Event::BrMissPredRetired),
+    let (cyc, instr, l1i, l2d, br) = fields(&db.cpu().snapshot().delta(&before));
+    (system, query, mode, cyc, instr, l1i, l2d, br)
+}
+
+/// The SRS cell's `a2` range (10 %), as the grouped statement's predicate.
+fn a2_range(ranged: bool) -> Option<QueryPredicate> {
+    let (lo, hi) = Scale::tiny().selectivity_range(0.1);
+    ranged.then(|| QueryPredicate::Range {
+        col: "a2".into(),
+        lo,
+        hi,
+    })
+}
+
+fn measure_grouped(system: SystemId, ranged: bool, mode: ExecMode) -> GroupedGolden {
+    let query = MicroQuery::SequentialRangeSelection;
+    let cfg = CpuConfig::pentium_ii_xeon();
+    let mut db = build_db(system, Scale::tiny(), query, &cfg).expect("build");
+    db.set_exec_mode(mode);
+    let (pred, agg) = (a2_range(ranged), AggSpec::avg("a3"));
+    db.run_grouped("R", "a4", pred.as_ref(), &agg)
+        .expect("warm-up run");
+    let before = db.cpu().snapshot();
+    db.run_grouped("R", "a4", pred.as_ref(), &agg)
+        .expect("measured run");
+    let (cyc, instr, l1i, l2d, br) = fields(&db.cpu().snapshot().delta(&before));
+    (system, ranged, mode, cyc, instr, l1i, l2d, br)
+}
+
+fn measure_sharded_grouped() -> (u64, u64, u64, u64, u64) {
+    let mut db = build_sharded_db_with_layout(
+        EngineProfile::system(SystemId::C),
+        Scale::tiny(),
+        MicroQuery::SequentialRangeSelection,
+        &CpuConfig::pentium_ii_xeon(),
+        PageLayout::Nsm,
+        4,
     )
+    .expect("sharded build");
+    let par = ParallelConfig::default()
+        .with_workers(2)
+        .with_morsel_rows(64);
+    let (pred, agg) = (a2_range(true), AggSpec::avg("a3"));
+    let run = |db: &mut wdtg_memdb::ShardedDatabase| {
+        db.run_grouped_parallel("R", "a4", pred.as_ref(), &agg, &par)
+            .expect("grouped run")
+    };
+    run(&mut db);
+    let before = db.snapshots();
+    run(&mut db);
+    fields(&db.merged_delta(&before).total)
 }
 
 fn render(rows: &[Golden]) -> String {
@@ -105,5 +188,40 @@ fn microbenchmark_grid_counters_are_bit_exact() {
         "simulated counters moved. If the model changed on purpose, say why in the commit and \
          replace GOLDENS with:\n{}",
         render(&measured)
+    );
+}
+
+#[test]
+fn grouped_aggregate_counters_are_bit_exact() {
+    let (measured, sharded) = std::thread::scope(|s| {
+        let cells: Vec<_> = GROUPED_GOLDENS
+            .iter()
+            .map(|&(system, ranged, mode, ..)| {
+                s.spawn(move || measure_grouped(system, ranged, mode))
+            })
+            .collect();
+        let sharded = s.spawn(measure_sharded_grouped);
+        let measured: Vec<GroupedGolden> = cells
+            .into_iter()
+            .map(|cell| cell.join().expect("cell measures"))
+            .collect();
+        (measured, sharded.join().expect("sharded run measures"))
+    });
+    let rows: String = measured
+        .iter()
+        .map(|&(s, ranged, m, cyc, instr, l1i, l2d, br)| {
+            format!(
+                "    ({s:?}, {ranged}, {m:?}, {cyc:#018x}, {instr}, {l1i}, {l2d}, {br}), // {:.1} cycles\n",
+                f64::from_bits(cyc)
+            )
+        })
+        .collect();
+    let (cyc, instr, l1i, l2d, br) = sharded;
+    assert!(
+        measured == GROUPED_GOLDENS && sharded == SHARDED_GROUPED_GOLDEN,
+        "simulated counters moved. If the model changed on purpose, say why in the commit and \
+         replace GROUPED_GOLDENS with:\n{rows}and SHARDED_GROUPED_GOLDEN with:\n    \
+         ({cyc:#018x}, {instr}, {l1i}, {l2d}, {br}) // {:.1} cycles",
+        f64::from_bits(cyc)
     );
 }
