@@ -1,7 +1,6 @@
 //! The database facade: catalog, storage, instrumented execution context and
 //! the query planner/runner.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wdtg_sim::{segment, BranchSite, CodeBlock, Cpu, CpuConfig, MemDep};
@@ -15,14 +14,14 @@ use crate::exec::indexscan::{descend_to_leaf, IndexRangeScan};
 use crate::exec::join_hash::HashJoin;
 use crate::exec::join_nl::IndexNlJoin;
 use crate::exec::join_partitioned::PartitionedHashJoin;
-use crate::exec::partial::AggState;
+use crate::exec::partial::{groups, scalar, Partial};
 use crate::exec::seqscan::SeqScan;
 use crate::exec::{ExecEnv, ExecMode, Operator};
 use crate::fault::{CancelToken, FaultInjector, FaultPlan, FaultSite, ResourceBudget};
 use crate::heap::{HeapFile, PageLayout, Rid, HDR_NRECS, HDR_PAGEID};
 use crate::index::btree::BTree;
 use crate::profiles::{EngineProfile, EvalMode, JoinAlgo};
-use crate::query::{AggKind, AggSpec, Query, QueryPredicate, QueryResult};
+use crate::query::{AggKind, AggSpec, BoundStatement, Query, QueryPredicate, QueryResult};
 use crate::schema::Schema;
 use crate::shard::{shard_of, ShardedDatabase};
 use crate::txn::TxnState;
@@ -713,204 +712,101 @@ impl Database {
         predicate: Option<&QueryPredicate>,
         agg: &AggSpec,
     ) -> DbResult<Vec<(i32, f64)>> {
-        let groups = self.gated(|db| db.grouped_partial(table, group_col, predicate, agg, None))?;
-        Ok(groups
-            .into_iter()
-            .map(|(k, st)| (k, st.value(agg.kind)))
-            .collect())
+        let stmt = BoundStatement::grouped(table, group_col, predicate, agg);
+        let partial = self.gated(|db| db.agg_partial(&stmt, None))?;
+        Ok(groups(partial.render(agg.kind)))
     }
 
-    /// The body of [`Database::run_grouped`] stopping short of rendering
-    /// values: each group's exact accumulator, in ascending group order.
-    /// The shard router merges these per key across partitions, so a
-    /// sharded grouped answer is bit-identical to the single-shard one.
-    /// `morsel_rows` slices the scan exactly as in
-    /// [`Database::agg_partial`], under the same contract; per-morsel group
-    /// maps merge through [`AggState::merge`] (exact integer arithmetic),
-    /// so the merged groups are bit-identical to the unbounded run's.
-    pub(crate) fn grouped_partial(
-        &mut self,
-        table: &str,
-        group_col: &str,
-        predicate: Option<&QueryPredicate>,
-        agg: &AggSpec,
-        morsel_rows: Option<u32>,
-    ) -> DbResult<Vec<(i32, AggState)>> {
-        let ranges = match morsel_rows {
-            None => vec![None],
-            Some(m) => self.heap_morsel_ranges(self.table_idx(table)?, m),
+    /// Explains how this engine would execute `stmt` (the plan shape and the
+    /// profile-specific execution strategy) without running it. A grouped
+    /// aggregate renders as a `GroupBy` step over the access path its
+    /// scalar twin would take.
+    pub fn explain(&self, stmt: &BoundStatement) -> DbResult<String> {
+        let strategy = if self.profile.eval_mode == EvalMode::Interpreted {
+            "interpreted"
+        } else {
+            "compiled"
         };
-        let mut merged: BTreeMap<i32, AggState> = BTreeMap::new();
-        for (i, range) in ranges.into_iter().enumerate() {
-            self.morsel_checkpoint(i)?;
-            for (k, st) in self.grouped_morsel(table, group_col, predicate, agg, range, i == 0)? {
-                merged.entry(k).or_default().merge(&st);
-            }
-        }
-        Ok(merged.into_iter().collect())
-    }
-
-    fn grouped_morsel(
-        &mut self,
-        table: &str,
-        group_col: &str,
-        predicate: Option<&QueryPredicate>,
-        agg: &AggSpec,
-        range: Option<(u32, u32)>,
-        charge_setup: bool,
-    ) -> DbResult<Vec<(i32, AggState)>> {
-        let ti = self.table_idx(table)?;
-        let schema = &self.tables[ti].schema;
-        let gc = schema.col(group_col)?;
-        let ac = schema.col(&agg.col)?;
-        let blocks = Arc::clone(&self.profile.blocks);
-
-        let mut cols = vec![gc, ac];
-        let pred_remapped = match predicate {
-            None => None,
-            Some(QueryPredicate::Range { col, lo, hi }) => {
-                let ci = schema.col(col)?;
-                cols.push(ci);
-                Some((ci, *lo, *hi))
-            }
-            Some(QueryPredicate::Expr(_)) => {
-                return Err(DbError::PlanError(
-                    "run_grouped supports range predicates; use run() for expressions".into(),
-                ))
-            }
-        };
-        cols.sort_unstable();
-        cols.dedup();
-        let g_pos = scan_pos(&cols, gc)?;
-        let a_pos = scan_pos(&cols, ac)?;
-
-        let mut scan = SeqScan::new(
-            self.tables[ti].heap.clone(),
-            cols.clone(),
-            Arc::clone(&blocks),
-            self.profile.materialize,
-            self.profile.prefetch_lines_ahead,
-        );
-        if let Some((first, end)) = range {
-            scan = scan.with_page_range(first, end);
-        }
-        let child: Box<dyn Operator> = match pred_remapped {
-            None => Box::new(scan),
-            Some((ci, lo, hi)) => {
-                let pos = scan_pos(&cols, ci)?;
-                Box::new(Filter::new(
-                    Box::new(scan),
-                    PredicateExec::Range { col: pos, lo, hi },
-                    Arc::clone(&blocks),
-                    self.profile.eval_mode == EvalMode::Interpreted,
-                    self.selection_mode,
-                ))
-            }
-        };
-        let mut gb = crate::exec::groupby::GroupByExec::new(
-            child,
-            g_pos,
-            a_pos,
-            agg.kind,
-            Arc::clone(&blocks),
-        );
-        let mut env = self.env();
-        if charge_setup {
-            env.ctx.exec(&blocks.query_setup);
-        }
-        gb.run_to_end_partial(&mut env)
-    }
-
-    /// Explains how this engine would execute `q` (the plan shape and the
-    /// profile-specific execution strategy) without running it.
-    pub fn explain(&self, q: &Query) -> DbResult<String> {
-        let strategy = |interp: bool| if interp { "interpreted" } else { "compiled" };
-        let interp = self.profile.eval_mode == EvalMode::Interpreted;
-        match q {
-            Query::SelectAgg {
-                table,
-                predicate,
-                agg,
-            } => {
-                let ti = self.table_idx(table)?;
-                let schema = &self.tables[ti].schema;
-                let agg_str = format!("{:?}({})", agg.kind, agg.col);
-                match predicate {
-                    Some(QueryPredicate::Range { col, lo, hi }) => {
-                        let ci = schema.col(col)?;
-                        if self.profile.use_index_for_range && self.index_on(ti, ci).is_some() {
-                            Ok(format!(
-                                "Agg[{agg_str}]\n  IndexRangeScan[{table}.{col} in ({lo},{hi}), \
-                                 non-clustered B+tree, fetch via buffer pool]"
-                            ))
-                        } else {
-                            Ok(format!(
-                                "Agg[{agg_str}]\n  Filter[{lo} < {col} < {hi}, {} range check]\n    \
-                                 SeqScan[{table}, {:?}{}]",
-                                strategy(interp),
-                                self.profile.materialize,
-                                if self.profile.prefetch_lines_ahead > 0 {
-                                    format!(
-                                        ", prefetch {} lines ahead",
-                                        self.profile.prefetch_lines_ahead
-                                    )
-                                } else {
-                                    String::new()
-                                }
-                            ))
-                        }
+        if let Some((table, predicate, agg, group_col)) = stmt.scan_parts() {
+            let ti = self.table_idx(table)?;
+            let agg_str = format!("{:?}({})", agg.kind, agg.col);
+            let head = match group_col {
+                None => format!("Agg[{agg_str}]"),
+                Some(g) => format!("GroupBy[{g}: {agg_str}]"),
+            };
+            let path = match (predicate, self.range_index(ti, predicate)?) {
+                (Some(QueryPredicate::Range { col, lo, hi }), Some(_)) => format!(
+                    "IndexRangeScan[{table}.{col} in ({lo},{hi}), non-clustered B+tree, \
+                     fetch via buffer pool]"
+                ),
+                (Some(QueryPredicate::Range { col, lo, hi }), None) => format!(
+                    "Filter[{lo} < {col} < {hi}, {strategy} range check]\n    \
+                     SeqScan[{table}, {:?}{}]",
+                    self.profile.materialize,
+                    if self.profile.prefetch_lines_ahead > 0 {
+                        format!(
+                            ", prefetch {} lines ahead",
+                            self.profile.prefetch_lines_ahead
+                        )
+                    } else {
+                        String::new()
                     }
-                    Some(QueryPredicate::Expr(e)) => Ok(format!(
-                        "Agg[{agg_str}]\n  Filter[{} expression, {} nodes]\n    SeqScan[{table}]",
-                        strategy(interp),
-                        e.node_count()
-                    )),
-                    None => Ok(format!("Agg[{agg_str}]\n  SeqScan[{table}]")),
-                }
-            }
-            Query::JoinAgg {
+                ),
+                (Some(QueryPredicate::Expr(e)), _) => format!(
+                    "Filter[{strategy} expression, {} nodes]\n    SeqScan[{table}]",
+                    e.node_count()
+                ),
+                (None, _) => format!("SeqScan[{table}]"),
+            };
+            return Ok(format!("{head}\n  {path}"));
+        }
+        match stmt {
+            BoundStatement::Scalar(Query::JoinAgg {
                 left,
                 right,
                 left_col,
                 right_col,
                 agg,
-            } => {
+            }) => {
                 let ri = self.table_idx(right)?;
                 let rkey = self.tables[ri].schema.col(right_col)?;
-                let algo = match self.profile.join_algo {
-                    JoinAlgo::IndexNestedLoop if self.index_on(ri, rkey).is_some() => {
-                        format!("IndexNLJoin[{right}.{right_col} B+tree probe per outer row]")
-                    }
-                    JoinAlgo::PartitionedHash => format!(
+                let algo = if self.inl_index(ri, rkey).is_some() {
+                    format!("IndexNLJoin[{right}.{right_col} B+tree probe per outer row]")
+                } else if self.profile.join_algo == JoinAlgo::PartitionedHash {
+                    format!(
                         "PartitionedHashJoin[radix-scatter {right}.{right_col} and \
                          {left}.{left_col} into L2-sized partitions, build+probe per partition]"
-                    ),
-                    _ => format!("HashJoin[build {right}.{right_col}, probe {left}.{left_col}]"),
+                    )
+                } else {
+                    format!("HashJoin[build {right}.{right_col}, probe {left}.{left_col}]")
                 };
                 Ok(format!(
                     "Agg[{:?}({})]\n  {algo}\n    SeqScan[{left}] / SeqScan[{right}]",
                     agg.kind, agg.col
                 ))
             }
-            Query::PointSelect {
+            BoundStatement::Scalar(Query::PointSelect {
                 table,
                 key_col,
                 key,
                 ..
-            } => Ok(format!(
+            }) => Ok(format!(
                 "PointSelect[{table}.{key_col} = {key} via B+tree, fetch via buffer pool]"
             )),
-            Query::UpdateAdd {
+            BoundStatement::Scalar(Query::UpdateAdd {
                 table,
                 key_col,
                 key,
                 set_col,
                 delta,
-            } => Ok(format!(
+            }) => Ok(format!(
                 "Update[{table}.{set_col} += {delta} where {key_col} = {key}, via B+tree]"
             )),
-            Query::InsertRow { table, .. } => {
+            BoundStatement::Scalar(Query::InsertRow { table, .. }) => {
                 Ok(format!("Insert[{table} heap append + index maintenance]"))
+            }
+            BoundStatement::Scalar(Query::SelectAgg { .. }) | BoundStatement::Grouped { .. } => {
+                unreachable!("single-table aggregates are explained above")
             }
         }
     }
@@ -951,7 +847,8 @@ impl Database {
     pub fn run(&mut self, q: &Query) -> DbResult<QueryResult> {
         self.gated(|db| match q {
             Query::SelectAgg { agg, .. } | Query::JoinAgg { agg, .. } => {
-                Ok(db.agg_partial(q, None)?.result(agg.kind))
+                let partial = db.agg_partial(&BoundStatement::Scalar(q.clone()), None)?;
+                Ok(scalar(partial.render(agg.kind)))
             }
             Query::PointSelect {
                 table,
@@ -984,16 +881,16 @@ impl Database {
         Ok(())
     }
 
-    /// Runs an aggregate query ([`Query::SelectAgg`] / [`Query::JoinAgg`])
-    /// to its exact partial accumulator instead of the rendered value.
-    /// [`Database::run`] renders it; sharded execution runs this per shard
-    /// and merges the partials ([`AggState::merge`]), so the merged answer
-    /// is bit-identical to a single-shard [`Database::run`].
+    /// Runs an aggregate statement — a scalar or grouped single-table
+    /// aggregate, or a join — to its exact [`Partial`] instead of the
+    /// rendered answer. [`Database::run`] and [`Database::run_grouped`]
+    /// render it; sharded execution runs this per shard and merges the
+    /// partials, so the merged answer is bit-identical to a single-shard run.
     ///
     /// `morsel_rows: None` plans one unbounded scan — with **no** page
     /// range at all, not a `(0, MAX)` bound. `Some(rows)` executes the
-    /// query as a sequence of page-aligned morsels of roughly `rows` rows
-    /// each.
+    /// statement as a sequence of page-aligned morsels of roughly `rows`
+    /// rows each, whose partials merge exactly.
     ///
     /// The morsels of one database run **in order on its own simulated
     /// core**, so the instruction/data stream the cache and branch
@@ -1011,265 +908,250 @@ impl Database {
     /// exactly what one unbounded run does.
     pub(crate) fn agg_partial(
         &mut self,
-        q: &Query,
+        stmt: &BoundStatement,
         morsel_rows: Option<u32>,
-    ) -> DbResult<AggState> {
+    ) -> DbResult<Partial> {
         let ranges = match morsel_rows {
             None => vec![None],
-            Some(m) => self.morsel_ranges(q, m)?,
+            Some(m) => self.morsel_ranges(stmt, m)?,
         };
         let blocks = Arc::clone(&self.profile.blocks);
-        let mut acc = AggState::new();
+        let mut acc = Partial::new(matches!(stmt, BoundStatement::Grouped { .. }));
         for (i, range) in ranges.into_iter().enumerate() {
             self.morsel_checkpoint(i)?;
-            let mut agg_exec = self.plan_agg(q, range)?;
+            let mut agg_exec = self.plan_agg(stmt, range)?;
             let mut env = self.env();
             if i == 0 {
                 env.ctx.exec(&blocks.query_setup);
             }
-            acc.merge(&agg_exec.run_partial(&mut env)?);
+            acc.merge(agg_exec.run_partial(&mut env)?);
         }
         Ok(acc)
     }
 
-    /// Splits `q`'s outer scan into page-aligned morsel ranges of roughly
+    /// Splits `stmt`'s outer scan into page-aligned morsel ranges of roughly
     /// `morsel_rows` rows each. Plan shapes whose cost is not page-linear —
     /// joins (the build side reads the whole inner table) and B+tree index
     /// range scans — get a single whole-table morsel, so morselization
-    /// never changes *what* a plan does, only how a seq scan is sliced.
-    fn morsel_ranges(&self, q: &Query, morsel_rows: u32) -> DbResult<Vec<Option<(u32, u32)>>> {
-        let Query::SelectAgg {
-            table, predicate, ..
-        } = q
-        else {
+    /// never changes *what* a plan does, only how a seq scan is sliced. A
+    /// morsel is at least one page (the page is the unit of the buffer-pool
+    /// open path); an empty heap still yields one `(0, 0)` morsel so
+    /// `query_setup` is charged exactly once, as in an unbounded scan.
+    fn morsel_ranges(
+        &self,
+        stmt: &BoundStatement,
+        morsel_rows: u32,
+    ) -> DbResult<Vec<Option<(u32, u32)>>> {
+        let Some((table, predicate, ..)) = stmt.scan_parts() else {
             return Ok(vec![None]);
         };
         let ti = self.table_idx(table)?;
-        if let Some(QueryPredicate::Range { col, .. }) = predicate {
-            let ci = self.tables[ti].schema.col(col)?;
-            if self.profile.use_index_for_range && self.index_on(ti, ci).is_some() {
-                return Ok(vec![None]);
-            }
+        if self.range_index(ti, predicate)?.is_some() {
+            return Ok(vec![None]);
         }
-        Ok(self.heap_morsel_ranges(ti, morsel_rows))
-    }
-
-    /// Page-aligned morsel ranges over one table's heap. A morsel is at
-    /// least one page (the page is the unit of the buffer-pool open path);
-    /// an empty heap still yields one `(0, 0)` morsel so `query_setup` is
-    /// charged exactly once, as in an unbounded scan.
-    fn heap_morsel_ranges(&self, ti: usize, morsel_rows: u32) -> Vec<Option<(u32, u32)>> {
         let heap = &self.tables[ti].heap;
         let n_pages = heap.n_pages();
         if n_pages == 0 {
-            return vec![Some((0, 0))];
+            return Ok(vec![Some((0, 0))]);
         }
         let per = (morsel_rows.max(1) as u64)
             .div_ceil(heap.page_cap as u64)
             .max(1) as u32;
-        (0..n_pages)
+        Ok((0..n_pages)
             .step_by(per as usize)
             .map(|p| Some((p, (p + per).min(n_pages))))
-            .collect()
+            .collect())
+    }
+
+    /// The index a range predicate runs on: the predicate's column is
+    /// indexed and the engine's optimizer uses indexes for range selections
+    /// (System A's does not). The one place the index-versus-scan choice is
+    /// made.
+    fn range_index(
+        &self,
+        ti: usize,
+        predicate: Option<&QueryPredicate>,
+    ) -> DbResult<Option<&IndexMeta>> {
+        let Some(QueryPredicate::Range { col, .. }) = predicate else {
+            return Ok(None);
+        };
+        let ci = self.tables[ti].schema.col(col)?;
+        Ok(if self.profile.use_index_for_range {
+            self.index_on(ti, ci)
+        } else {
+            None
+        })
+    }
+
+    /// The inner index an index-nested-loop join probes; `None` — a hash
+    /// join, naive or partitioned — when the profile picks another
+    /// algorithm or the inner key has no index. The one place that fallback
+    /// is decided.
+    fn inl_index(&self, ri: usize, rkey: usize) -> Option<&IndexMeta> {
+        if self.profile.join_algo == JoinAlgo::IndexNestedLoop {
+            self.index_on(ri, rkey)
+        } else {
+            None
+        }
+    }
+
+    /// A sequential scan of table `ti` producing `cols`, with the
+    /// profile's materialization and prefetch, over heap pages
+    /// `[first, end)` of `range` (the whole heap when `None`).
+    fn seq_scan(&self, ti: usize, cols: Vec<usize>, range: Option<(u32, u32)>) -> SeqScan {
+        let scan = SeqScan::new(
+            self.tables[ti].heap.clone(),
+            cols,
+            Arc::clone(&self.profile.blocks),
+            self.profile.materialize,
+            self.profile.prefetch_lines_ahead,
+        );
+        match range {
+            Some((first, end)) => scan.with_page_range(first, end),
+            None => scan,
+        }
     }
 
     /// The planner half of [`Database::agg_partial`], with an optional
     /// heap-page bound on the outer sequential scan — the morsel hook.
     /// `None` plans the whole table; `Some((first, end))` plans one
-    /// morsel's page range. Only the seq-scan path of [`Query::SelectAgg`]
+    /// morsel's page range. Only a single-table aggregate's seq-scan path
     /// is ever planned with a bound ([`Database::morsel_ranges`] hands every
-    /// other plan shape a single unbounded morsel), so index and join plans
-    /// are unaffected.
-    fn plan_agg(&self, q: &Query, range: Option<(u32, u32)>) -> DbResult<AggExec> {
+    /// other plan shape a single unbounded morsel).
+    ///
+    /// A grouped aggregate is its scalar twin with the group column added
+    /// to the scan and handed to the aggregate on top: the same access
+    /// path, index or scan, under the same [`AggExec`].
+    fn plan_agg(&self, stmt: &BoundStatement, range: Option<(u32, u32)>) -> DbResult<AggExec> {
+        let Some((table, predicate, agg, group_col)) = stmt.scan_parts() else {
+            return self.plan_join(stmt);
+        };
         let blocks = Arc::clone(&self.profile.blocks);
-        match q {
-            Query::SelectAgg {
-                table,
-                predicate,
-                agg,
-            } => {
-                let ti = self.table_idx(table)?;
-                let schema = &self.tables[ti].schema;
-                let agg_col = if matches!(agg.kind, AggKind::Count) && agg.col.is_empty() {
-                    0
-                } else {
-                    schema.col(&agg.col)?
-                };
+        let ti = self.table_idx(table)?;
+        let schema = &self.tables[ti].schema;
+        let group = group_col.map(|g| schema.col(g)).transpose()?;
+        let agg_col = if matches!(agg.kind, AggKind::Count) && agg.col.is_empty() {
+            0
+        } else {
+            schema.col(&agg.col)?
+        };
 
-                // Column set the scan must produce: aggregate column plus
-                // predicate columns.
-                let mut cols = vec![agg_col];
-                let pred = match predicate {
-                    None => None,
-                    Some(QueryPredicate::Range { col, lo, hi }) => {
-                        let ci = schema.col(col)?;
-                        cols.push(ci);
-                        Some((PredKind::Range(ci, *lo, *hi), ci))
-                    }
-                    Some(QueryPredicate::Expr(e)) => {
-                        if e.max_col().unwrap_or(0) >= schema.arity() {
-                            return Err(DbError::PlanError("predicate column out of range".into()));
-                        }
-                        cols.extend(e.cols());
-                        Some((PredKind::Expr(e.clone()), 0))
-                    }
-                };
-                cols.sort_unstable();
-                cols.dedup();
-                let agg_pos = scan_pos(&cols, agg_col)?;
-
-                // Index path: range predicate on an indexed column, if the
-                // engine's optimizer uses indexes for range selections.
-                if let Some((PredKind::Range(ci, lo, hi), _)) = &pred {
-                    if self.profile.use_index_for_range {
-                        if let Some(ix) = self.index_on(ti, *ci) {
-                            let scan = IndexRangeScan::new(
-                                ix.btree.clone(),
-                                *lo,
-                                *hi,
-                                self.tables[ti].heap.clone(),
-                                cols.clone(),
-                                Arc::clone(&blocks),
-                            )
-                            .with_full_materialization(
-                                self.profile.materialize
-                                    == crate::profiles::Materialize::FullRecord,
-                            );
-                            return Ok(AggExec::new(
-                                Box::new(scan),
-                                agg.kind,
-                                agg_pos,
-                                Arc::clone(&blocks),
-                            ));
-                        }
-                    }
+        // Column set the scan must produce: aggregate and group columns
+        // plus predicate columns.
+        let mut cols = vec![agg_col];
+        cols.extend(group);
+        match predicate {
+            None => {}
+            Some(QueryPredicate::Range { col, .. }) => cols.push(schema.col(col)?),
+            Some(QueryPredicate::Expr(e)) => {
+                if e.max_col().unwrap_or(0) >= schema.arity() {
+                    return Err(DbError::PlanError("predicate column out of range".into()));
                 }
-
-                // Sequential scan + filter path.
-                let mut scan = SeqScan::new(
-                    self.tables[ti].heap.clone(),
-                    cols.clone(),
-                    Arc::clone(&blocks),
-                    self.profile.materialize,
-                    self.profile.prefetch_lines_ahead,
-                );
-                if let Some((first, end)) = range {
-                    scan = scan.with_page_range(first, end);
-                }
-                let child: Box<dyn Operator> = match pred {
-                    None => Box::new(scan),
-                    Some((kind, _)) => {
-                        let pexec = match kind {
-                            PredKind::Range(ci, lo, hi) => {
-                                let pos = scan_pos(&cols, ci)?;
-                                PredicateExec::Range { col: pos, lo, hi }
-                            }
-                            PredKind::Expr(e) => {
-                                // Remap expression columns to scan output.
-                                let remapped = remap_expr(&e, &cols)?;
-                                PredicateExec::Expr(remapped)
-                            }
-                        };
-                        Box::new(Filter::new(
-                            Box::new(scan),
-                            pexec,
-                            Arc::clone(&blocks),
-                            self.profile.eval_mode == EvalMode::Interpreted,
-                            self.selection_mode,
-                        ))
-                    }
-                };
-                Ok(AggExec::new(child, agg.kind, agg_pos, Arc::clone(&blocks)))
+                cols.extend(e.cols());
             }
-
-            Query::JoinAgg {
-                left,
-                right,
-                left_col,
-                right_col,
-                agg,
-            } => {
-                let li = self.table_idx(left)?;
-                let ri = self.table_idx(right)?;
-                let lschema = &self.tables[li].schema;
-                let rschema = &self.tables[ri].schema;
-                let lkey = lschema.col(left_col)?;
-                let rkey = rschema.col(right_col)?;
-                let agg_col = lschema.col(&agg.col)?;
-                let mut lcols = vec![lkey, agg_col];
-                lcols.sort_unstable();
-                lcols.dedup();
-                let lkey_pos = scan_pos(&lcols, lkey)?;
-                let agg_pos = scan_pos(&lcols, agg_col)?;
-
-                let probe = SeqScan::new(
-                    self.tables[li].heap.clone(),
-                    lcols,
-                    Arc::clone(&blocks),
-                    self.profile.materialize,
-                    self.profile.prefetch_lines_ahead,
-                );
-
-                // Index-nested-loop wants the inner index; resolve it once
-                // so the fallback path needs no re-lookup (and no unwrap).
-                let inl_index = if self.profile.join_algo == JoinAlgo::IndexNestedLoop {
-                    self.index_on(ri, rkey)
-                } else {
-                    None
-                };
-                let join: Box<dyn Operator> = if let Some(ix) = inl_index {
-                    Box::new(IndexNlJoin::new(
-                        Box::new(probe),
-                        lkey_pos,
-                        ix.btree.clone(),
-                        self.tables[ri].heap.clone(),
-                        vec![rkey],
-                        Arc::clone(&blocks),
-                    ))
-                } else {
-                    match self.profile.join_algo {
-                        JoinAlgo::PartitionedHash => {
-                            let build = SeqScan::new(
-                                self.tables[ri].heap.clone(),
-                                vec![rkey],
-                                Arc::clone(&blocks),
-                                self.profile.materialize,
-                                self.profile.prefetch_lines_ahead,
-                            );
-                            Box::new(PartitionedHashJoin::new(
-                                Box::new(build),
-                                0,
-                                Box::new(probe),
-                                lkey_pos,
-                                Arc::clone(&blocks),
-                                self.ctx.cpu.config().l2.size_bytes,
-                            ))
-                        }
-                        _ => {
-                            let build = SeqScan::new(
-                                self.tables[ri].heap.clone(),
-                                vec![rkey],
-                                Arc::clone(&blocks),
-                                self.profile.materialize,
-                                self.profile.prefetch_lines_ahead,
-                            );
-                            Box::new(HashJoin::new(
-                                Box::new(build),
-                                0,
-                                Box::new(probe),
-                                lkey_pos,
-                                Arc::clone(&blocks),
-                            ))
-                        }
-                    }
-                };
-                Ok(AggExec::new(join, agg.kind, agg_pos, Arc::clone(&blocks)))
-            }
-
-            _ => Err(DbError::PlanError(
-                "not an aggregate query (point operations have no partial form)".into(),
-            )),
         }
+        cols.sort_unstable();
+        cols.dedup();
+        let agg_pos = scan_pos(&cols, agg_col)?;
+        let group_pos = group.map(|g| scan_pos(&cols, g)).transpose()?;
+
+        let child: Box<dyn Operator> = match (predicate, self.range_index(ti, predicate)?) {
+            (Some(QueryPredicate::Range { lo, hi, .. }), Some(ix)) => Box::new(
+                IndexRangeScan::new(
+                    ix.btree.clone(),
+                    *lo,
+                    *hi,
+                    self.tables[ti].heap.clone(),
+                    cols,
+                    Arc::clone(&blocks),
+                )
+                .with_full_materialization(
+                    self.profile.materialize == crate::profiles::Materialize::FullRecord,
+                ),
+            ),
+            (None, _) => Box::new(self.seq_scan(ti, cols, range)),
+            (Some(pred), _) => {
+                let pexec = match pred {
+                    QueryPredicate::Range { col, lo, hi } => PredicateExec::Range {
+                        col: scan_pos(&cols, schema.col(col)?)?,
+                        lo: *lo,
+                        hi: *hi,
+                    },
+                    // Remap expression columns to scan output.
+                    QueryPredicate::Expr(e) => PredicateExec::Expr(remap_expr(e, &cols)?),
+                };
+                Box::new(Filter::new(
+                    Box::new(self.seq_scan(ti, cols, range)),
+                    pexec,
+                    Arc::clone(&blocks),
+                    self.profile.eval_mode == EvalMode::Interpreted,
+                    self.selection_mode,
+                ))
+            }
+        };
+        Ok(AggExec::new(child, agg_pos, group_pos, blocks))
+    }
+
+    /// [`Database::plan_agg`] for a join: a sequential probe scan of the
+    /// left table under the profile's join algorithm, aggregated on top.
+    fn plan_join(&self, stmt: &BoundStatement) -> DbResult<AggExec> {
+        let BoundStatement::Scalar(Query::JoinAgg {
+            left,
+            right,
+            left_col,
+            right_col,
+            agg,
+        }) = stmt
+        else {
+            return Err(DbError::PlanError(
+                "not an aggregate query (point operations have no partial form)".into(),
+            ));
+        };
+        let blocks = Arc::clone(&self.profile.blocks);
+        let li = self.table_idx(left)?;
+        let ri = self.table_idx(right)?;
+        let lschema = &self.tables[li].schema;
+        let lkey = lschema.col(left_col)?;
+        let rkey = self.tables[ri].schema.col(right_col)?;
+        let agg_col = lschema.col(&agg.col)?;
+        let mut lcols = vec![lkey, agg_col];
+        lcols.sort_unstable();
+        lcols.dedup();
+        let lkey_pos = scan_pos(&lcols, lkey)?;
+        let agg_pos = scan_pos(&lcols, agg_col)?;
+
+        let probe = Box::new(self.seq_scan(li, lcols, None));
+        let join: Box<dyn Operator> = match self.inl_index(ri, rkey) {
+            Some(ix) => Box::new(IndexNlJoin::new(
+                probe,
+                lkey_pos,
+                ix.btree.clone(),
+                self.tables[ri].heap.clone(),
+                vec![rkey],
+                Arc::clone(&blocks),
+            )),
+            None => {
+                let build = Box::new(self.seq_scan(ri, vec![rkey], None));
+                match self.profile.join_algo {
+                    JoinAlgo::PartitionedHash => Box::new(PartitionedHashJoin::new(
+                        build,
+                        0,
+                        probe,
+                        lkey_pos,
+                        Arc::clone(&blocks),
+                        self.ctx.cpu.config().l2.size_bytes,
+                    )),
+                    _ => Box::new(HashJoin::new(
+                        build,
+                        0,
+                        probe,
+                        lkey_pos,
+                        Arc::clone(&blocks),
+                    )),
+                }
+            }
+        };
+        Ok(AggExec::new(join, agg_pos, None, blocks))
     }
 
     /// The walk both autocommit point operations share: resolves the index
@@ -1604,11 +1486,6 @@ pub(crate) fn store_record_fields(
             }
         }
     }
-}
-
-enum PredKind {
-    Range(usize, i32, i32),
-    Expr(crate::expr::Expr),
 }
 
 /// Position of table column `c` in the scan's output column set.

@@ -50,7 +50,6 @@
 pub mod agg;
 pub mod batch;
 pub mod filter;
-pub mod groupby;
 pub mod indexscan;
 pub mod join_hash;
 pub mod join_nl;

@@ -9,8 +9,73 @@
 //! value is computed *once*, by the same code a single-shard run uses — so
 //! an N-shard answer is bit-identical to the 1-shard answer, not merely
 //! close up to float re-association.
+//!
+//! What one aggregate plan accumulates is a `Partial`: one [`AggState`],
+//! or one per group key. Morsels, shards and the router all merge that one
+//! value.
+
+use std::collections::BTreeMap;
 
 use crate::query::{AggKind, QueryResult};
+
+/// An aggregate plan's exact accumulation: the scalar aggregate's one
+/// [`AggState`], or a grouped aggregate's [`AggState`] per key in ascending
+/// key order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Partial {
+    Scalar(AggState),
+    Grouped(BTreeMap<i32, AggState>),
+}
+
+impl Partial {
+    /// The empty accumulation, grouped or not.
+    pub(crate) fn new(grouped: bool) -> Partial {
+        if grouped {
+            Partial::Grouped(BTreeMap::new())
+        } else {
+            Partial::Scalar(AggState::new())
+        }
+    }
+
+    /// Folds another partial of the same shape in, key by key. Exact, like
+    /// [`AggState::merge`].
+    pub(crate) fn merge(&mut self, other: Partial) {
+        match (self, other) {
+            (Partial::Scalar(a), Partial::Scalar(b)) => a.merge(&b),
+            (Partial::Grouped(a), Partial::Grouped(b)) => {
+                for (key, state) in b {
+                    a.entry(key).or_default().merge(&state);
+                }
+            }
+            _ => unreachable!("partials of one statement have one shape"),
+        }
+    }
+
+    /// Renders the answer as `kind`: a scalar aggregate's result (`Ok`), or
+    /// a grouped aggregate's `(key, value)` rows in ascending key order
+    /// (`Err`).
+    pub(crate) fn render(&self, kind: AggKind) -> Result<QueryResult, Vec<(i32, f64)>> {
+        match self {
+            Partial::Scalar(state) => Ok(state.result(kind)),
+            Partial::Grouped(groups) => Err(groups
+                .iter()
+                .map(|(&key, state)| (key, state.value(kind)))
+                .collect()),
+        }
+    }
+}
+
+/// The scalar half of a [`Partial::render`]-shaped answer: what a scalar
+/// statement is answered with.
+pub(crate) fn scalar(answer: Result<QueryResult, Vec<(i32, f64)>>) -> QueryResult {
+    answer.expect("a scalar statement has a scalar answer")
+}
+
+/// The grouped half of a [`Partial::render`]-shaped answer: what a grouped
+/// statement is answered with.
+pub(crate) fn groups(answer: Result<QueryResult, Vec<(i32, f64)>>) -> Vec<(i32, f64)> {
+    answer.expect_err("a grouped statement is answered per group")
+}
 
 /// Exact, mergeable accumulator for one aggregate (or one group of a
 /// grouped aggregate).

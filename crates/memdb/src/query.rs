@@ -158,6 +158,67 @@ impl Query {
     }
 }
 
+/// A statement after name resolution ([`crate::sql::bind`]): a query in the
+/// executor's native form, or a grouped aggregate — the single-table
+/// aggregate plus a group key, answered with one row per group.
+#[derive(Debug, Clone, PartialEq)]
+pub enum BoundStatement {
+    /// A query returning one [`QueryResult`].
+    Scalar(Query),
+    /// `SELECT g, AGG(x) FROM t [WHERE …] GROUP BY g`.
+    Grouped {
+        /// Table name.
+        table: String,
+        /// Grouping column name.
+        group_col: String,
+        /// Optional predicate (a range or an expression, as for
+        /// [`Query::SelectAgg`]).
+        predicate: Option<QueryPredicate>,
+        /// Aggregate.
+        agg: AggSpec,
+    },
+}
+
+impl BoundStatement {
+    /// `SELECT group_col, AGG(..) FROM table [WHERE predicate] GROUP BY
+    /// group_col`, from the parts the grouped entry points take.
+    pub(crate) fn grouped(
+        table: &str,
+        group_col: &str,
+        predicate: Option<&QueryPredicate>,
+        agg: &AggSpec,
+    ) -> BoundStatement {
+        BoundStatement::Grouped {
+            table: table.to_string(),
+            group_col: group_col.to_string(),
+            predicate: predicate.cloned(),
+            agg: agg.clone(),
+        }
+    }
+
+    /// A single-table aggregate's table, predicate, aggregate and group key
+    /// (`None` unless grouped); `None` for joins and point statements.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn scan_parts(
+        &self,
+    ) -> Option<(&str, Option<&QueryPredicate>, &AggSpec, Option<&str>)> {
+        match self {
+            BoundStatement::Scalar(Query::SelectAgg {
+                table,
+                predicate,
+                agg,
+            }) => Some((table, predicate.as_ref(), agg, None)),
+            BoundStatement::Grouped {
+                table,
+                group_col,
+                predicate,
+                agg,
+            } => Some((table, predicate.as_ref(), agg, Some(group_col))),
+            BoundStatement::Scalar(_) => None,
+        }
+    }
+}
+
 /// Result of a query: the scalar value plus how many rows contributed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryResult {

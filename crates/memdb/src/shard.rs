@@ -8,12 +8,12 @@
 //!
 //! # One router, two schedulers
 //!
-//! Every sharded statement goes through one five-arm router
-//! (`ShardedDatabase::route`, and `route_grouped` for `GROUP BY`), which
-//! hands a per-shard closure to one of two schedulers: a loop on the
-//! caller's thread ([`ShardedDatabase::run`] /
-//! [`ShardedDatabase::run_grouped`]) or [`crate::parallel`]'s
-//! work-stealing OS-thread pool ([`ShardedDatabase::run_parallel`] /
+//! Every sharded statement goes through one router
+//! (`ShardedDatabase::route`, over a [`BoundStatement`]), which hands a
+//! per-shard closure to one of two schedulers: a loop on the caller's
+//! thread ([`ShardedDatabase::run`] / [`ShardedDatabase::run_grouped`]) or
+//! [`crate::parallel`]'s work-stealing OS-thread pool
+//! ([`ShardedDatabase::run_parallel`] /
 //! [`ShardedDatabase::run_grouped_parallel`]). The loop runs shards in
 //! shard order, unmorselized, and stops at the first failed shard; the pool
 //! morselizes each shard's scan and runs every shard. Merge rules, refusals,
@@ -57,13 +57,12 @@
 //!
 //! # Merge rules
 //!
-//! * **Aggregates** (`SelectAgg`, `JoinAgg`): each shard produces an exact
-//!   [`AggState`] partial (`Database::agg_partial`); partials merge with
-//!   integer arithmetic and the final float is rendered once — an N-shard
-//!   answer is bit-identical to the 1-shard answer.
-//! * **Grouped aggregates**: per-key [`AggState`] partials merged in a
-//!   [`BTreeMap`], emitted in ascending key order like the single-shard
-//!   operator.
+//! * **Aggregates** (`SelectAgg`, `JoinAgg` and grouped statements): each
+//!   shard produces an exact partial (`Database::agg_partial`) — one
+//!   [`AggState`](crate::AggState), or one per group key — and the router
+//!   merges them in one arm with integer arithmetic, key by key, and
+//!   renders the final floats once: an N-shard answer is bit-identical to
+//!   the 1-shard answer, groups in ascending key order.
 //! * **Joins**: each shard joins locally, which is only correct when both
 //!   sides are *co-partitioned* on their join keys; the router checks the
 //!   declared shard keys ([`Database::set_shard_key`]) and refuses the plan
@@ -81,17 +80,15 @@
 //!   `tests/determinism.rs` stays honest: identical builds produce
 //!   cycle-exact, bit-identical merged snapshots.
 
-use std::collections::BTreeMap;
-
 use wdtg_sim::{merge_cores, CoreMerge, Snapshot};
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
-use crate::exec::partial::AggState;
+use crate::exec::partial::{groups, scalar, Partial};
 use crate::exec::PhysicalConfig;
 use crate::fault::{CancelToken, FaultPlan, FaultSite, ResourceBudget, RobustnessStats};
 use crate::parallel::{run_jobs_parallel, ParallelConfig};
-use crate::query::{AggSpec, Query, QueryPredicate, QueryResult};
+use crate::query::{AggSpec, BoundStatement, Query, QueryPredicate, QueryResult};
 
 /// How many times the router attempts one shard's sub-query before giving
 /// up (first try + two retries).
@@ -312,14 +309,14 @@ impl ShardedDatabase {
 
     /// A sharded join is computed shard-locally, which is only correct when
     /// matching rows co-locate: both tables sharded on their join keys.
-    fn check_join_co_partitioning(&self, q: &Query) -> DbResult<()> {
-        let Query::JoinAgg {
+    fn check_join_co_partitioning(&self, stmt: &BoundStatement) -> DbResult<()> {
+        let BoundStatement::Scalar(Query::JoinAgg {
             left,
             right,
             left_col,
             right_col,
             ..
-        } = q
+        }) = stmt
         else {
             return Ok(());
         };
@@ -413,29 +410,36 @@ impl ShardedDatabase {
         first_err.map_or(Ok(values), Err)
     }
 
-    /// The one shard router (see the module docs for the per-query merge
-    /// rules and refusals). `par` picks the scheduler ([`Self::fan_out`])
-    /// and, with it, whether each shard's aggregate scan is morselized by
-    /// `cfg.morsel_rows`; nothing else differs between the two.
-    fn route(&mut self, q: &Query, par: Option<&ParallelConfig>) -> DbResult<QueryResult> {
-        let morsel = par.map(|cfg| cfg.morsel_rows);
+    /// The one shard router (see the module docs for the per-statement
+    /// merge rules and refusals). `par` picks the scheduler
+    /// ([`Self::fan_out`]) and, with it, whether each shard's aggregate scan
+    /// is morselized by `cfg.morsel_rows`; nothing else differs between the
+    /// two. The answer is a scalar statement's result (`Ok`), or a grouped
+    /// statement's `(key, value)` rows in ascending key order (`Err`).
+    pub(crate) fn route(
+        &mut self,
+        stmt: &BoundStatement,
+        par: Option<&ParallelConfig>,
+    ) -> DbResult<Result<QueryResult, Vec<(i32, f64)>>> {
         let mut out = QueryResult {
             value: 0.0,
             rows: 0,
         };
-        match q {
-            Query::SelectAgg { agg, .. } | Query::JoinAgg { agg, .. } => {
-                self.check_join_co_partitioning(q)?;
+        match stmt {
+            BoundStatement::Grouped { agg, .. }
+            | BoundStatement::Scalar(Query::SelectAgg { agg, .. } | Query::JoinAgg { agg, .. }) => {
+                self.check_join_co_partitioning(stmt)?;
+                let morsel = par.map(|cfg| cfg.morsel_rows);
                 let partials = self.fan_out(par, |i, db, st| {
-                    run_with_retry(db, i, st, |db| db.gated(|db| db.agg_partial(q, morsel)))
+                    run_with_retry(db, i, st, |db| db.gated(|db| db.agg_partial(stmt, morsel)))
                 })?;
-                let mut state = AggState::new();
-                for p in &partials {
-                    state.merge(p);
+                let mut merged = Partial::new(matches!(stmt, BoundStatement::Grouped { .. }));
+                for p in partials {
+                    merged.merge(p);
                 }
-                Ok(state.result(agg.kind))
+                return Ok(merged.render(agg.kind));
             }
-            Query::PointSelect { .. } => {
+            BoundStatement::Scalar(q @ Query::PointSelect { .. }) => {
                 // Broadcast read. Duplicates of one key value co-locate when
                 // the lookup column *is* the shard key (same hash → same
                 // shard, and within one shard local index order mirrors the
@@ -463,9 +467,8 @@ impl ShardedDatabase {
                          (Database::set_shard_key) or use an aggregate query"
                     )));
                 }
-                Ok(out)
             }
-            Query::UpdateAdd { .. } => {
+            BoundStatement::Scalar(q @ Query::UpdateAdd { .. }) => {
                 // Broadcast update: every matching row receives the same
                 // delta on its own shard, so the *effect* is exact for any
                 // key distribution (addition commutes). The returned scalar
@@ -479,9 +482,8 @@ impl ShardedDatabase {
                     }
                     out.rows += r.rows;
                 }
-                Ok(out)
             }
-            Query::InsertRow { table, values } => {
+            BoundStatement::Scalar(q @ Query::InsertRow { table, values }) => {
                 // Single-shard route: nothing to fan out.
                 self.refuse_if_cancelled()?;
                 let t = self.shards[0].table(table)?;
@@ -493,39 +495,12 @@ impl ShardedDatabase {
                     });
                 }
                 let target = shard_of(values[col], self.shards.len());
-                run_mutation(&mut self.shards[target], target, &mut self.stats, |db| {
+                out = run_mutation(&mut self.shards[target], target, &mut self.stats, |db| {
                     db.run(q)
-                })
+                })?;
             }
         }
-    }
-
-    /// The grouped twin of [`Self::route`]: every shard runs its grouped
-    /// sub-query under the bounded retry loop and the per-group exact
-    /// partials merge per key (ascending group order, like
-    /// [`Database::run_grouped`]).
-    fn route_grouped(
-        &mut self,
-        table: &str,
-        group_col: &str,
-        predicate: Option<&QueryPredicate>,
-        agg: &AggSpec,
-        par: Option<&ParallelConfig>,
-    ) -> DbResult<Vec<(i32, f64)>> {
-        let morsel = par.map(|cfg| cfg.morsel_rows);
-        let per_shard = self.fan_out(par, |i, db, st| {
-            run_with_retry(db, i, st, |db| {
-                db.gated(|db| db.grouped_partial(table, group_col, predicate, agg, morsel))
-            })
-        })?;
-        let mut merged: BTreeMap<i32, AggState> = BTreeMap::new();
-        for (k, st) in per_shard.into_iter().flatten() {
-            merged.entry(k).or_default().merge(&st);
-        }
-        Ok(merged
-            .into_iter()
-            .map(|(k, st)| (k, st.value(agg.kind)))
-            .collect())
+        Ok(Ok(out))
     }
 
     /// Runs a query across all shards on the caller's thread and merges the
@@ -533,7 +508,8 @@ impl ShardedDatabase {
     /// first failed shard; determinism is inherited from the per-shard
     /// simulators.
     pub fn run(&mut self, q: &Query) -> DbResult<QueryResult> {
-        self.route(q, None)
+        self.route(&BoundStatement::Scalar(q.clone()), None)
+            .map(scalar)
     }
 
     /// [`ShardedDatabase::run`] on the work-stealing OS-thread pool
@@ -542,7 +518,8 @@ impl ShardedDatabase {
     /// counters are bit-identical for every worker count and steal seed
     /// (`tests/parallel_equivalence.rs` is the proof).
     pub fn run_parallel(&mut self, q: &Query, cfg: &ParallelConfig) -> DbResult<QueryResult> {
-        self.route(q, Some(cfg))
+        self.route(&BoundStatement::Scalar(q.clone()), Some(cfg))
+            .map(scalar)
     }
 
     /// Runs a grouped aggregation on every shard, sequentially, and merges
@@ -554,7 +531,8 @@ impl ShardedDatabase {
         predicate: Option<&QueryPredicate>,
         agg: &AggSpec,
     ) -> DbResult<Vec<(i32, f64)>> {
-        self.route_grouped(table, group_col, predicate, agg, None)
+        let stmt = BoundStatement::grouped(table, group_col, predicate, agg);
+        self.route(&stmt, None).map(groups)
     }
 
     /// [`ShardedDatabase::run_grouped`] on the work-stealing pool,
@@ -567,7 +545,8 @@ impl ShardedDatabase {
         agg: &AggSpec,
         cfg: &ParallelConfig,
     ) -> DbResult<Vec<(i32, f64)>> {
-        self.route_grouped(table, group_col, predicate, agg, Some(cfg))
+        let stmt = BoundStatement::grouped(table, group_col, predicate, agg);
+        self.route(&stmt, Some(cfg)).map(groups)
     }
 }
 

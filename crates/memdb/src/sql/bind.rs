@@ -9,38 +9,18 @@
 //! * one table + aggregate → [`Query::SelectAgg`], with the WHERE conjuncts
 //!   collapsed to the native range predicate when they form exactly
 //!   `lo < col AND col < hi`, and to an [`Expr`] tree otherwise;
-//! * `key, AGG(x) ... GROUP BY key` → a grouped aggregate
-//!   ([`BoundStatement::Grouped`]);
+//! * `key, AGG(x) ... GROUP BY key` → the same single-table aggregate with
+//!   a group key ([`BoundStatement::Grouped`]), its WHERE bound the same way;
 //! * one bare column + `key = k` → [`Query::PointSelect`].
 
 use crate::db::Database;
 use crate::error::DbResult;
 use crate::expr::{CmpOp, Expr};
-use crate::query::{AggKind, AggSpec, Query, QueryPredicate};
+use crate::query::{AggKind, AggSpec, BoundStatement, Query, QueryPredicate};
 use crate::schema::Schema;
 
 use super::ast::{CmpKind, ColRef, Projection, SelectStmt, Statement, WhereAtom};
 use super::token::bind_err;
-
-/// A statement after name resolution: either a scalar-result query in the
-/// executor's native form, or a grouped aggregate (which has its own entry
-/// point and result shape).
-#[derive(Debug, Clone, PartialEq)]
-pub enum BoundStatement {
-    /// A query returning one [`crate::query::QueryResult`].
-    Scalar(Query),
-    /// `SELECT g, AGG(x) FROM t [WHERE range] GROUP BY g`.
-    Grouped {
-        /// Table name.
-        table: String,
-        /// Grouping column name.
-        group_col: String,
-        /// Optional predicate (the grouped executor takes range predicates).
-        predicate: Option<QueryPredicate>,
-        /// Aggregate.
-        agg: AggSpec,
-    },
-}
 
 /// Minimal catalog view the binder needs; implemented by [`Database`] and by
 /// shard 0 of a sharded database (all shards share one catalog).
@@ -278,7 +258,7 @@ fn bind_single_table(
         }
     }
 
-    let Some((kind, agg_col, agg_span)) = the_agg(&sel.projections) else {
+    let Some((kind, agg_col, _)) = the_agg(&sel.projections) else {
         return Err(bind_err(
             src,
             tspan,
@@ -302,14 +282,6 @@ fn bind_single_table(
                     ));
                 }
             }
-        }
-        if matches!(predicate, Some(QueryPredicate::Expr(_))) {
-            return Err(bind_err(
-                src,
-                agg_span,
-                "grouped aggregates support range predicates \
-                 (`lo < col AND col < hi`) only",
-            ));
         }
         return Ok(BoundStatement::Grouped {
             table: tname.clone(),

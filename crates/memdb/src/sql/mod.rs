@@ -37,6 +37,7 @@ pub mod session;
 pub mod token;
 
 pub use crate::exec::PhysicalConfig;
-pub use bind::{compile, BoundStatement, CatalogView};
+pub use crate::query::BoundStatement;
+pub use bind::{compile, CatalogView};
 pub use plan::{CandidateCost, PlanReport};
 pub use session::Session;

@@ -95,9 +95,7 @@ use crate::error::{DbError, DbResult};
 use crate::exec::{ExecMode, PhysicalConfig, SelectionMode};
 use crate::parallel::{run_jobs_parallel, ParallelConfig};
 use crate::profiles::JoinAlgo;
-use crate::query::{AggSpec, Query, QueryPredicate};
-
-use super::bind::BoundStatement;
+use crate::query::{BoundStatement, Query};
 
 /// Max pilot rows for page-linear plans (scans, grouped aggregates).
 pub const PILOT_SCAN_ROWS: usize = 2048;
@@ -394,32 +392,23 @@ pub(crate) fn plan(
     sched: &Schedule,
 ) -> DbResult<Option<PlanReport>> {
     match stmt {
-        BoundStatement::Scalar(q) => match q {
-            Query::SelectAgg {
-                table, predicate, ..
-            } => plan_scan(db, sql, q, table, predicate.as_ref(), None, sched).map(Some),
-            Query::JoinAgg { .. } => plan_join(db, sql, q, sched).map(Some),
-            _ => Ok(None),
-        },
-        BoundStatement::Grouped {
-            table,
-            group_col,
-            predicate,
-            agg,
-        } => {
-            // The grouped plan is the scan plan plus a group map; reuse the
-            // scan pilot with the grouped runner. The structural explain
-            // renders the equivalent ungrouped aggregate (grouping adds no
-            // physical choice).
-            let q = Query::SelectAgg {
-                table: table.to_string(),
-                predicate: predicate.clone(),
-                agg: agg.clone(),
-            };
-            let grouped = Some((group_col.as_str(), agg));
-            plan_scan(db, sql, &q, table, predicate.as_ref(), grouped, sched).map(Some)
-        }
+        // A grouped aggregate is its scalar twin plus a group key: the same
+        // access path and the same knobs, costed by running it as bound.
+        BoundStatement::Scalar(Query::SelectAgg {
+            table, predicate, ..
+        })
+        | BoundStatement::Grouped {
+            table, predicate, ..
+        } => plan_scan(db, sql, stmt, table, predicate.is_some(), sched).map(Some),
+        BoundStatement::Scalar(Query::JoinAgg { .. }) => plan_join(db, sql, stmt, sched).map(Some),
+        BoundStatement::Scalar(_) => Ok(None),
     }
+}
+
+/// A pilot's run of `stmt`: one crossing of the entry gate, as
+/// [`Database::run`] makes for an aggregate.
+fn run_stmt(pilot: &mut Database, stmt: &BoundStatement) -> DbResult<()> {
+    pilot.gated(|db| db.agg_partial(stmt, None)).map(|_| ())
 }
 
 /// Exec-mode × selection-mode candidates for a filtered plan; exec modes
@@ -450,7 +439,7 @@ fn scan_configs(has_filter: bool) -> Vec<PhysicalConfig> {
 /// its jobs done) renders the winner's plan shape.
 fn report(
     sql: &str,
-    q: &Query,
+    stmt: &BoundStatement,
     image: &mut Database,
     candidates: Vec<CandidateCost>,
     full_rows: u64,
@@ -459,7 +448,7 @@ fn report(
     candidates[chosen].config.apply(image);
     Ok(PlanReport {
         sql: sql.to_string(),
-        shape: image.explain(q)?,
+        shape: image.explain(stmt)?,
         candidates,
         chosen,
         full_rows,
@@ -469,10 +458,9 @@ fn report(
 fn plan_scan(
     db: &Database,
     sql: &str,
-    q: &Query,
+    stmt: &BoundStatement,
     table: &str,
-    predicate: Option<&QueryPredicate>,
-    grouped: Option<(&str, &AggSpec)>,
+    has_filter: bool,
     sched: &Schedule,
 ) -> DbResult<PlanReport> {
     let full = db.table(table)?.heap.n_records;
@@ -480,36 +468,31 @@ fn plan_scan(
     let mut images = [pilot_image(db, &[(table, pilot_rows as usize)])?];
     let factor = full as f64 / pilot_rows.max(1) as f64;
 
-    let configs = scan_configs(predicate.is_some());
+    let configs = scan_configs(has_filter);
     let jobs: Vec<PilotJob> = configs
         .iter()
         .map(|&config| PilotJob { image: 0, config })
         .collect();
-    let measured = run_pilots(
-        &images,
-        &jobs,
-        |pilot| match grouped {
-            None => pilot.run(q).map(|_| ()),
-            Some((group_col, agg)) => pilot
-                .run_grouped(table, group_col, predicate, agg)
-                .map(|_| ()),
-        },
-        sched,
-    );
+    let measured = run_pilots(&images, &jobs, |pilot| run_stmt(pilot, stmt), sched);
     let mut candidates = Vec::new();
     for (config, m) in configs.into_iter().zip(measured) {
         candidates.push(candidate(config, &m?.scale(factor), pilot_rows));
     }
-    report(sql, q, &mut images[0], candidates, full)
+    report(sql, stmt, &mut images[0], candidates, full)
 }
 
-fn plan_join(db: &Database, sql: &str, q: &Query, sched: &Schedule) -> DbResult<PlanReport> {
-    let Query::JoinAgg {
+fn plan_join(
+    db: &Database,
+    sql: &str,
+    stmt: &BoundStatement,
+    sched: &Schedule,
+) -> DbResult<PlanReport> {
+    let BoundStatement::Scalar(Query::JoinAgg {
         left,
         right,
         right_col,
         ..
-    } = q
+    }) = stmt
     else {
         return Err(DbError::PlanError("plan_join on a non-join".into()));
     };
@@ -550,7 +533,7 @@ fn plan_join(db: &Database, sql: &str, q: &Query, sched: &Schedule) -> DbResult<
         .iter()
         .flat_map(|&config| (0..images.len()).map(move |image| PilotJob { image, config }))
         .collect();
-    let measured = run_pilots(&images, &jobs, |pilot| pilot.run(q).map(|_| ()), sched);
+    let measured = run_pilots(&images, &jobs, |pilot| run_stmt(pilot, stmt), sched);
     let mut measured = measured.into_iter();
     let mut candidates = Vec::new();
     for config in configs {
@@ -564,7 +547,7 @@ fn plan_join(db: &Database, sql: &str, q: &Query, sched: &Schedule) -> DbResult<
         };
         candidates.push(candidate(config, &est, p2 as u64));
     }
-    report(sql, q, &mut images[0], candidates, full as u64)
+    report(sql, stmt, &mut images[0], candidates, full as u64)
 }
 
 #[cfg(test)]

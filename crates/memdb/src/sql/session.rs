@@ -30,12 +30,13 @@ use std::collections::{HashMap, VecDeque};
 
 use crate::db::Database;
 use crate::error::{DbError, DbResult};
+use crate::exec::partial::{groups, scalar};
 use crate::exec::PhysicalConfig;
-use crate::query::{Query, QueryPredicate, QueryResult};
+use crate::query::{BoundStatement, Query, QueryResult};
 use crate::shard::ShardedDatabase;
 use crate::txn::TxnId;
 
-use super::bind::{compile, BoundStatement};
+use super::bind::compile;
 use super::plan::{plan, plannable, PlanReport, Schedule};
 
 /// Most statements the plan cache remembers; planning one more forgets the
@@ -217,7 +218,7 @@ impl Session {
         );
         match self.current {
             Some(tid) if routed => self.db.shards[0].txn_run(tid, q),
-            _ => self.db.run(q),
+            _ => self.db.route(&stmt, None).map(scalar),
         }
     }
 
@@ -225,20 +226,13 @@ impl Session {
     /// pairs in ascending key order.
     pub fn sql_grouped(&mut self, text: &str) -> DbResult<Vec<(i32, f64)>> {
         let stmt = compile(self.plan_db(), text)?;
-        let BoundStatement::Grouped {
-            table,
-            group_col,
-            predicate,
-            agg,
-        } = &stmt
-        else {
+        if !matches!(stmt, BoundStatement::Grouped { .. }) {
             return Err(DbError::PlanError(
                 "statement is not grouped; use Session::sql".into(),
             ));
-        };
+        }
         self.plan_and_apply(text, &stmt)?;
-        let pred: Option<&QueryPredicate> = predicate.as_ref();
-        self.db.run_grouped(table, group_col, pred, agg)
+        self.db.route(&stmt, None).map(groups)
     }
 
     /// Plans a statement without executing it and renders the decision:
@@ -258,10 +252,7 @@ impl Session {
                 Ok(rendered)
             }
             None => {
-                let BoundStatement::Scalar(q) = &stmt else {
-                    return Err(DbError::Internal("unplanned grouped statement".into()));
-                };
-                let shape = self.plan_db().explain(q)?;
+                let shape = self.plan_db().explain(&stmt)?;
                 Ok(format!(
                     "sql: {text}\nplan:\n  {shape}\n(no physical alternatives; runs as-is)\n"
                 ))

@@ -21,7 +21,9 @@
 
 use proptest::prelude::*;
 use wdtg_memdb::testutil::{build_db_layout, measure, rows_for};
-use wdtg_memdb::{AggSpec, Database, ExecMode, PageLayout, Query, QueryPredicate, SystemId};
+use wdtg_memdb::{
+    AggSpec, CmpOp, Database, ExecMode, Expr, PageLayout, Query, QueryPredicate, SystemId,
+};
 use wdtg_sim::{Event, Snapshot};
 
 fn build_db(sys: SystemId, tables: &[(&str, &[Vec<i32>])], index_a2: bool) -> Database {
@@ -169,14 +171,32 @@ fn join_modes_agree() {
 #[test]
 fn grouped_aggregation_modes_agree() {
     let rows = rows_for(6_000, 31);
+    // a2 < 300 OR a3 > 900
+    let expr = QueryPredicate::Expr(Expr::Or(
+        Box::new(Expr::Cmp(
+            CmpOp::Lt,
+            Box::new(Expr::Col(1)),
+            Box::new(Expr::Const(300)),
+        )),
+        Box::new(Expr::Cmp(
+            CmpOp::Gt,
+            Box::new(Expr::Col(2)),
+            Box::new(Expr::Const(900)),
+        )),
+    ));
     for sys in [SystemId::A, SystemId::C] {
-        let mut row_db = build_db(sys, &[("R", &rows)], false);
-        let mut batch_db = build_db(sys, &[("R", &rows)], false);
-        batch_db.set_exec_mode(ExecMode::Batch);
-        let spec = AggSpec::sum("a3");
-        let want = row_db.run_grouped("R", "a4", None, &spec).unwrap();
-        let got = batch_db.run_grouped("R", "a4", None, &spec).unwrap();
-        assert_eq!(want, got, "{sys:?}: grouped results differ across modes");
+        for pred in [None, Some(&expr)] {
+            let mut row_db = build_db(sys, &[("R", &rows)], false);
+            let mut batch_db = build_db(sys, &[("R", &rows)], false);
+            batch_db.set_exec_mode(ExecMode::Batch);
+            let spec = AggSpec::sum("a3");
+            let want = row_db.run_grouped("R", "a4", pred, &spec).unwrap();
+            let got = batch_db.run_grouped("R", "a4", pred, &spec).unwrap();
+            assert_eq!(
+                want, got,
+                "{sys:?} {pred:?}: grouped results differ across modes"
+            );
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! Grouped aggregation and plan explanation.
 
+use wdtg_memdb::sql::BoundStatement;
 use wdtg_memdb::testutil::quiet;
 use wdtg_memdb::{
     AggKind, AggSpec, Database, EngineProfile, Query, QueryPredicate, Schema, SystemId,
@@ -101,34 +102,59 @@ fn explain_reflects_engine_strategy() {
     a.create_index("T", "a2").unwrap();
     d.create_index("T", "a2").unwrap();
 
-    let q = Query::SelectAgg {
+    let range = QueryPredicate::Range {
+        col: "a2".into(),
+        lo: 1,
+        hi: 5,
+    };
+    let scalar = BoundStatement::Scalar(Query::SelectAgg {
         table: "T".into(),
-        predicate: Some(QueryPredicate::Range {
-            col: "a2".into(),
-            lo: 1,
-            hi: 5,
-        }),
+        predicate: Some(range.clone()),
+        agg: AggSpec::avg("a3"),
+    });
+    let grouped = BoundStatement::Grouped {
+        table: "T".into(),
+        group_col: "a2".into(),
+        predicate: Some(range.clone()),
         agg: AggSpec::avg("a3"),
     };
-    // A ignores the index; D uses it.
-    let ea = a.explain(&q).unwrap();
-    let ed = d.explain(&q).unwrap();
-    assert!(ea.contains("SeqScan"), "System A must scan: {ea}");
-    assert!(!ea.contains("IndexRangeScan"));
-    assert!(
-        ed.contains("IndexRangeScan"),
-        "System D must use the index: {ed}"
+    // A ignores the index; D uses it — grouped or not, under the same head.
+    for (stmt, head) in [
+        (&scalar, "Agg[Avg(a3)]\n"),
+        (&grouped, "GroupBy[a2: Avg(a3)]\n"),
+    ] {
+        let ea = a.explain(stmt).unwrap();
+        let ed = d.explain(stmt).unwrap();
+        assert!(
+            ea.starts_with(head) && ea.contains("SeqScan") && !ea.contains("IndexRangeScan"),
+            "System A must scan: {ea}"
+        );
+        assert!(
+            ed.starts_with(head) && ed.contains("\n  IndexRangeScan"),
+            "System D must use the index: {ed}"
+        );
+    }
+    // D's grouped plan really runs on the index, and answers as A's scan does.
+    let want = a
+        .run_grouped("T", "a2", Some(&range), &AggSpec::avg("a3"))
+        .unwrap();
+    assert!(!want.is_empty());
+    assert_eq!(
+        d.run_grouped("T", "a2", Some(&range), &AggSpec::avg("a3"))
+            .unwrap(),
+        want
     );
 
-    let j = Query::join_avg("T", "T");
+    let j = BoundStatement::Scalar(Query::join_avg("T", "T"));
     assert!(a.explain(&j).unwrap().contains("HashJoin"));
 
-    let p = Query::PointSelect {
+    let p = BoundStatement::Scalar(Query::PointSelect {
         table: "T".into(),
         key_col: "a2".into(),
         key: 3,
         read_col: "a3".into(),
-    };
+    });
     assert!(d.explain(&p).unwrap().contains("B+tree"));
-    assert!(a.explain(&Query::range_select_avg("NOPE", 0, 1)).is_err());
+    let nope = BoundStatement::Scalar(Query::range_select_avg("NOPE", 0, 1));
+    assert!(a.explain(&nope).is_err());
 }

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use wdtg_memdb::testutil::{build_db_layout, measure, rows_for};
-use wdtg_memdb::{AggSpec, ExecMode, PageLayout, Query, QueryPredicate, SystemId};
+use wdtg_memdb::{AggSpec, CmpOp, ExecMode, Expr, PageLayout, Query, QueryPredicate, SystemId};
 use wdtg_sim::{Event, Snapshot};
 
 /// Runs `q` under both layouts (same system, same mode) and asserts the
@@ -167,19 +167,28 @@ proptest! {
         assert_layouts_agree(sys, mode, &[("R", &r_rows), ("S", &s_rows)], false, &q);
     }
 
-    /// Randomized grouped aggregation: identical group/value pairs.
+    /// Randomized grouped aggregation, with no predicate and with an
+    /// expression one (`a3 >= t`): identical group/value pairs.
     #[test]
     fn random_groupbys_agree(
         rows in proptest::collection::vec(
             proptest::collection::vec(-30i32..30, 5..=5), 1..200),
         sys_pick in 0usize..4,
+        threshold in -30i32..30,
     ) {
         let sys = SystemId::ALL[sys_pick];
-        let mut nsm_db = build_db_layout(sys, PageLayout::Nsm, &[("R", &rows)], false);
-        let mut pax_db = build_db_layout(sys, PageLayout::Pax, &[("R", &rows)], false);
-        let spec = AggSpec::avg("a3");
-        let want = nsm_db.run_grouped("R", "a2", None, &spec).unwrap();
-        let got = pax_db.run_grouped("R", "a2", None, &spec).unwrap();
-        prop_assert_eq!(want, got);
+        let expr = QueryPredicate::Expr(Expr::Cmp(
+            CmpOp::Ge,
+            Box::new(Expr::Col(2)),
+            Box::new(Expr::Const(threshold)),
+        ));
+        for pred in [None, Some(&expr)] {
+            let mut nsm_db = build_db_layout(sys, PageLayout::Nsm, &[("R", &rows)], false);
+            let mut pax_db = build_db_layout(sys, PageLayout::Pax, &[("R", &rows)], false);
+            let spec = AggSpec::avg("a3");
+            let want = nsm_db.run_grouped("R", "a2", pred, &spec).unwrap();
+            let got = pax_db.run_grouped("R", "a2", pred, &spec).unwrap();
+            prop_assert_eq!(want, got);
+        }
     }
 }

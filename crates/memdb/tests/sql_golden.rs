@@ -251,17 +251,55 @@ fn sharded_session_answers_match_hand_built_queries() {
     }
 }
 
+/// Grouped SQL — with no WHERE, a range, an expression, and `COUNT(*)` —
+/// answers what a naive group-and-fold over the loaded rows does, through a
+/// one-shard and a four-shard session and the grouped entry point alike.
 #[test]
 fn grouped_sql_matches_the_grouped_entry_point() {
-    let sql = "SELECT a4, SUM(a3) FROM R GROUP BY a4";
-    let mut direct = db(PageLayout::Nsm);
-    let want = direct
-        .run_grouped("R", "a4", None, &AggSpec::sum("a3"))
-        .unwrap();
-    let mut sess = Session::open(db(PageLayout::Nsm));
-    let got = sess.sql_grouped(sql).unwrap();
-    assert_eq!(got, want);
-    assert!(!got.is_empty());
+    let rows = rows_for(600, 7);
+    // (statement, rows kept, folded column: `None` counts rows)
+    type Case = (&'static str, fn(&[i32]) -> bool, Option<usize>);
+    let cases: [Case; 4] = [
+        ("SELECT a4, SUM(a3) FROM R GROUP BY a4", |_| true, Some(2)),
+        (
+            "SELECT a4, SUM(a3) FROM R WHERE a2 >= 100 AND a3 <> 7 GROUP BY a4",
+            |r| r[1] >= 100 && r[2] != 7,
+            Some(2),
+        ),
+        ("SELECT a4, COUNT(*) FROM R GROUP BY a4", |_| true, None),
+        (
+            "SELECT a4, COUNT(*) FROM R WHERE a2 > 100 AND a2 < 400 GROUP BY a4",
+            |r| r[1] > 100 && r[1] < 400,
+            None,
+        ),
+    ];
+    for (sql, keep, col) in cases {
+        let mut oracle = std::collections::BTreeMap::<i32, i64>::new();
+        for r in rows.iter().filter(|r| keep(r)) {
+            *oracle.entry(r[3]).or_default() += col.map_or(1, |c| r[c] as i64);
+        }
+        let want: Vec<(i32, f64)> = oracle.into_iter().map(|(k, v)| (k, v as f64)).collect();
+        assert!(!want.is_empty(), "{sql}");
+
+        let mut direct = db(PageLayout::Nsm);
+        let Ok(BoundStatement::Grouped {
+            table,
+            group_col,
+            predicate,
+            agg,
+        }) = compile(&direct, sql)
+        else {
+            panic!("{sql}: expected a grouped statement");
+        };
+        let got = direct
+            .run_grouped(&table, &group_col, predicate.as_ref(), &agg)
+            .unwrap();
+        assert_eq!(got, want, "{sql}: run_grouped");
+        let mut one = Session::open(db(PageLayout::Nsm));
+        assert_eq!(one.sql_grouped(sql).unwrap(), want, "{sql}: one shard");
+        let mut four = Session::open_sharded(db(PageLayout::Nsm).shard(4).unwrap());
+        assert_eq!(four.sql_grouped(sql).unwrap(), want, "{sql}: four shards");
+    }
 }
 
 proptest! {

@@ -15,8 +15,9 @@
 use wdtg_core::methodology::build_sharded_db_with_layout;
 use wdtg_memdb::exec::PhysicalConfig;
 use wdtg_memdb::{
-    AggSpec, Database, DbError, EngineProfile, ExecMode, FaultPlan, PageLayout, ParallelConfig,
-    Query, QueryResult, ResourceBudget, Schema, ShardedDatabase, SystemId,
+    AggSpec, CmpOp, Database, DbError, EngineProfile, ExecMode, Expr, FaultPlan, PageLayout,
+    ParallelConfig, Query, QueryPredicate, QueryResult, ResourceBudget, Schema, ShardedDatabase,
+    SystemId,
 };
 use wdtg_sim::{CoreMerge, CpuConfig, InterruptCfg};
 use wdtg_workloads::{micro, MicroQuery, Scale};
@@ -217,33 +218,50 @@ fn join_and_index_plans_match_sequential_under_threads() {
 }
 
 /// Grouped aggregation through the pool: per-key exact partials must merge
-/// to the same ascending-key float vector the sequential router produces.
+/// to the same ascending-key float vector the sequential router produces,
+/// with no predicate and with an expression predicate.
 #[test]
 fn grouped_aggregation_matches_sequential_under_threads() {
     let agg = AggSpec::avg("a3");
-    let grouped = |workers: usize, morsel: u32| {
-        let mut db = build(MicroQuery::SequentialRangeSelection, PageLayout::Nsm, 4);
-        db.run_grouped_parallel("R", "a2", None, &agg, &pcfg(workers, morsel, 11))
-            .expect("grouped run")
-    };
-    let sequential = {
-        let mut db = build(MicroQuery::SequentialRangeSelection, PageLayout::Nsm, 4);
-        db.run_grouped("R", "a2", None, &agg).expect("grouped run")
-    };
-    for workers in [1usize, 2, 8] {
-        let got = grouped(workers, 512);
-        assert_eq!(
-            sequential.len(),
-            got.len(),
-            "{workers} workers: group count diverged"
-        );
-        for ((ek, ev), (gk, gv)) in sequential.iter().zip(&got) {
-            assert_eq!(ek, gk, "{workers} workers: group keys diverged");
+    // a2 >= 100 AND a3 < 5000
+    let expr = QueryPredicate::Expr(Expr::And(
+        Box::new(Expr::Cmp(
+            CmpOp::Ge,
+            Box::new(Expr::Col(1)),
+            Box::new(Expr::Const(100)),
+        )),
+        Box::new(Expr::Cmp(
+            CmpOp::Lt,
+            Box::new(Expr::Col(2)),
+            Box::new(Expr::Const(5000)),
+        )),
+    ));
+    for pred in [None, Some(&expr)] {
+        let grouped = |workers: usize, morsel: u32| {
+            let mut db = build(MicroQuery::SequentialRangeSelection, PageLayout::Nsm, 4);
+            db.run_grouped_parallel("R", "a2", pred, &agg, &pcfg(workers, morsel, 11))
+                .expect("grouped run")
+        };
+        let sequential = {
+            let mut db = build(MicroQuery::SequentialRangeSelection, PageLayout::Nsm, 4);
+            db.run_grouped("R", "a2", pred, &agg).expect("grouped run")
+        };
+        assert!(!sequential.is_empty());
+        for workers in [1usize, 2, 8] {
+            let got = grouped(workers, 512);
             assert_eq!(
-                ev.to_bits(),
-                gv.to_bits(),
-                "{workers} workers: group {ek} value must be bit-identical"
+                sequential.len(),
+                got.len(),
+                "{workers} workers, {pred:?}: group count diverged"
             );
+            for ((ek, ev), (gk, gv)) in sequential.iter().zip(&got) {
+                assert_eq!(ek, gk, "{workers} workers, {pred:?}: group keys diverged");
+                assert_eq!(
+                    ev.to_bits(),
+                    gv.to_bits(),
+                    "{workers} workers, {pred:?}: group {ek} value must be bit-identical"
+                );
+            }
         }
     }
 }
