@@ -633,15 +633,10 @@ impl SelectivitySweep {
 
     /// Runs the sweep on System D (as in the paper's right graph).
     pub fn run(ctx: &FigureCtx) -> DbResult<SelectivitySweep> {
-        Self::run_on(ctx, SystemId::D)
-    }
-
-    /// Runs the sweep on any system.
-    pub fn run_on(ctx: &FigureCtx, sys: SystemId) -> DbResult<SelectivitySweep> {
         let mut points = Vec::new();
         for sel in Self::SELECTIVITIES {
             let m = measure_query(
-                sys,
+                SystemId::D,
                 MicroQuery::SequentialRangeSelection,
                 sel,
                 ctx.scale,

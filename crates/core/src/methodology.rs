@@ -29,8 +29,6 @@ pub struct Methodology {
     pub unit_queries: u32,
     /// Measured repetitions of the unit (ground-truth runs).
     pub repetitions: u32,
-    /// Acceptable relative standard deviation across repetitions.
-    pub max_rel_stddev: f64,
     /// Whether to also reconstruct the breakdown through the emon pipeline
     /// (16 events, two per run — 8 extra unit executions).
     pub with_emon: bool,
@@ -63,7 +61,6 @@ impl Default for Methodology {
             warmup_runs: 1,
             unit_queries: 1,
             repetitions: 1,
-            max_rel_stddev: 0.05,
             with_emon: false,
             physical: PhysicalConfig {
                 exec_mode: ExecMode::Row,
@@ -562,6 +559,8 @@ mod tests {
         assert!((est.tb - t.tb).abs() / t.tb.max(1.0) < 0.2);
     }
 
+    /// §4.3: "the final sets of numbers exhibit a standard deviation of
+    /// less than 5 percent".
     #[test]
     fn repetitions_are_stable() {
         let m = Methodology {
@@ -578,7 +577,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            meas.rel_stddev < m.max_rel_stddev,
+            meas.rel_stddev < 0.05,
             "warmed repetitions vary {:.4}",
             meas.rel_stddev
         );

@@ -197,15 +197,6 @@ impl DbCtx {
         self.arena_mut(addr).write_i32(addr, v);
     }
 
-    /// Instrumented 8-byte store.
-    #[inline]
-    pub fn store_u64(&mut self, addr: u64, v: u64, dep: MemDep) {
-        if self.instrument {
-            self.cpu.store(addr, 8, dep);
-        }
-        self.arena_mut(addr).write_u64(addr, v);
-    }
-
     /// Charges a read of `len` bytes without transferring data (used when a
     /// record is materialized wholesale; values are then read raw).
     #[inline]
@@ -375,10 +366,9 @@ impl Database {
 
     /// A fork of `image`: its heap, index and page-table bytes at the same
     /// simulated addresses, its catalog, profile and knobs — on a cold
-    /// processor of its own, with its own copy of the code blocks, a fresh
-    /// [`CancelToken`], no fault plan, no budget and no transaction state.
-    /// `image` must never have executed anything (its blocks' rotation is
-    /// copied as it stands); the SQL planner's pilot images are such.
+    /// processor of its own (which starts every block's rotation at zero),
+    /// a fresh [`CancelToken`], no fault plan, no budget and no transaction
+    /// state.
     pub(crate) fn fork(image: &Database) -> Database {
         let mut fork = Database {
             ctx: DbCtx::new(image.ctx.cpu.config().clone()),
@@ -396,9 +386,9 @@ impl Database {
     }
 
     /// Makes `self` what [`Database::fork`] of `image` returns, reusing its
-    /// allocations: whatever `self` ran before — warm caches and BTB,
-    /// advanced block rotations, bump-allocated hash tables, a tripped
-    /// budget — leaves no trace in what it simulates next.
+    /// allocations: whatever `self` ran before — warm caches, BTB and block
+    /// rotations, bump-allocated hash tables, a tripped budget — leaves no
+    /// trace in what it simulates next.
     pub(crate) fn reset_from(&mut self, image: &Database) {
         // Exhaustive, so a field added to either struct cannot be missed.
         let Database {
@@ -439,7 +429,6 @@ impl Database {
         indexes.clone_from(&image.indexes);
         bufpool.clone_from(&image.bufpool);
         profile.clone_from(&image.profile);
-        profile.privatize_blocks();
         *exec_mode = image.exec_mode;
         *selection_mode = image.selection_mode;
         *catalog_epoch = image.catalog_epoch;
@@ -1305,13 +1294,15 @@ impl Database {
     /// Splits this database into `n` hash-partitioned shards.
     ///
     /// Each shard is a complete [`Database`] — its own deterministic
-    /// [`Cpu`], arenas, buffer pool, catalog and indexes — holding the rows
+    /// [`Cpu`] (cold, so every block's rotation starts at zero), arenas,
+    /// buffer pool, catalog and indexes — holding the rows
     /// whose shard-key hash routes to it (see [`Database::set_shard_key`];
     /// the routing hash is the radix-join multiplicative hash, taken from
     /// the *high* bits so it composes with the partitioned join's low-bit
     /// scatter inside each shard). Engine profile, execution mode, page
     /// layouts, selection mode and secondary indexes are all reproduced per
-    /// shard, so every existing operator runs unchanged on its partition.
+    /// shard, so every existing operator runs unchanged on its partition;
+    /// the profile's code blocks are shared, not copied.
     ///
     /// Re-partitioning is an uninstrumented bulk operation, like the
     /// paper's pre-measurement loads (§4.3). `n = 1` yields a trivially
@@ -1332,11 +1323,6 @@ impl Database {
             .map(|_| {
                 let mut db =
                     Database::with_capacity(self.profile.clone(), cfg.clone(), per_shard_pages);
-                // Each shard is its own simulated core: give it a private
-                // block set so probe-address rotation state is per-core and
-                // the core's stream stays schedule-independent (see
-                // EngineProfile::privatize_blocks).
-                db.profile.privatize_blocks();
                 db.exec_mode = self.exec_mode;
                 db.selection_mode = self.selection_mode;
                 db.ctx.instrument = false;

@@ -229,7 +229,9 @@ pub struct EngineBlocks {
 pub struct EngineProfile {
     /// Which system this profile models.
     pub system: SystemId,
-    /// Instrumented code paths (shared with operators).
+    /// Instrumented code paths: immutable, so every operator, clone, shard
+    /// and pilot of this profile shares them (each simulated core keeps its
+    /// own probe rotation per block, see [`wdtg_sim::Cpu::exec_block`]).
     pub blocks: Arc<EngineBlocks>,
     /// Predicate evaluation strategy.
     pub eval_mode: EvalMode,
@@ -955,115 +957,6 @@ impl EngineProfile {
             },
         }
     }
-
-    /// All four systems' profiles.
-    pub fn all_systems() -> Vec<EngineProfile> {
-        SystemId::ALL
-            .iter()
-            .map(|s| EngineProfile::system(*s))
-            .collect()
-    }
-
-    /// Replaces the shared block set with a private deep copy.
-    ///
-    /// A cloned profile shares its `Arc<EngineBlocks>`, and code blocks
-    /// carry a probe-address rotation counter that is part of the simulated
-    /// stream — so two simulated cores sharing one block set would see each
-    /// other's rotation advances, making counters depend on core
-    /// interleaving (and, under the parallel executor, on the host
-    /// schedule). [`crate::Database::shard`] privatizes each shard's blocks
-    /// through this so every core's stream is a pure function of its own
-    /// work.
-    pub fn privatize_blocks(&mut self) {
-        self.blocks = Arc::new((*self.blocks).clone());
-    }
-
-    /// [`EngineProfile::privatize_blocks`] with every block's rotation put
-    /// back to zero: the block set of a core whose stream must not depend
-    /// on what the source profile's core has executed. The SQL planner's
-    /// pilot images take their blocks through this, so an estimate is a
-    /// function of the catalog and the statement, not of the session's past.
-    pub(crate) fn pristine_blocks(&mut self) {
-        self.privatize_blocks();
-        // Exhaustive, so a block added to either struct cannot be missed.
-        let EngineBlocks {
-            query_setup,
-            scan_next,
-            scan_page,
-            bufpool_get,
-            pred_eval,
-            pred_node,
-            pred_handlers,
-            pred_select,
-            agg_step,
-            field_extract,
-            index_descend,
-            index_leaf_next,
-            rid_fetch,
-            hash_build,
-            hash_probe,
-            join_match,
-            part_scatter,
-            update_step,
-            insert_step,
-            txn_begin_commit,
-            version_chase,
-            wal_append,
-            txn_commit,
-            budget_check,
-            batch,
-            qualify_site: _,
-            match_site: _,
-            tuple_buf: _,
-            agg_buf: _,
-        } = &*self.blocks;
-        let BatchBlocks {
-            dispatch,
-            scan_step,
-            pred_step,
-            agg_step: batch_agg_step,
-            hash_step,
-            fetch_step,
-            partition_step,
-            select_step,
-        } = batch;
-        [
-            query_setup,
-            scan_next,
-            scan_page,
-            bufpool_get,
-            pred_eval,
-            pred_node,
-            pred_select,
-            agg_step,
-            field_extract,
-            index_descend,
-            index_leaf_next,
-            rid_fetch,
-            hash_build,
-            hash_probe,
-            join_match,
-            part_scatter,
-            update_step,
-            insert_step,
-            txn_begin_commit,
-            version_chase,
-            wal_append,
-            txn_commit,
-            budget_check,
-            dispatch,
-            scan_step,
-            pred_step,
-            batch_agg_step,
-            hash_step,
-            fetch_step,
-            partition_step,
-            select_step,
-        ]
-        .into_iter()
-        .chain(pred_handlers)
-        .for_each(CodeBlock::reset_rotation);
-    }
 }
 
 #[cfg(test)]
@@ -1205,6 +1098,27 @@ mod tests {
         spans.sort_by_key(|s| s.0);
         for w in spans.windows(2) {
             assert!(w[0].0 + w[0].1 as u64 <= w[1].0, "code blocks overlap");
+        }
+    }
+
+    /// A core keys a block's probe rotation by its `base`, so two blocks of
+    /// one profile at one address would share a rotation. `Debug` lists
+    /// every block, however many the profile grows.
+    #[test]
+    fn every_block_of_a_system_has_its_own_base() {
+        for sys in SystemId::ALL {
+            let dump = format!("{:?}", EngineProfile::system(sys).blocks);
+            let mut bases: Vec<u64> = dump
+                .split(", base: ")
+                .skip(1)
+                .map(|rest| rest.split(',').next().unwrap().parse().unwrap())
+                .collect();
+            let n = bases.len();
+            assert!(n > 30, "{}: found {n} blocks", sys.letter());
+            bases.sort_unstable();
+            bases.dedup();
+            assert_eq!(bases.len(), n, "{}: two blocks share a base", sys.letter());
+            assert!(!bases.contains(&segment::KERNEL_CODE));
         }
     }
 

@@ -26,9 +26,10 @@
 //! * **Fork.** Every measurement — one per candidate, two per join
 //!   candidate — runs on its own pristine fork of its image
 //!   (`Database::fork`): the image's heap bytes, page table, indexes and
-//!   simulated addresses on a cold processor, with its own copy of the code
-//!   blocks (rotation at zero), no fault plan, no budget. On that fork the
-//!   candidate runs a warm-up and then the measured run.
+//!   simulated addresses on a cold processor (every block's rotation at
+//!   zero: rotation is the core's, the code blocks themselves are shared
+//!   immutable data), no fault plan, no budget. On that fork the candidate
+//!   runs a warm-up and then the measured run.
 //! * **Job.** The measurements are jobs on the shard pool
 //!   ([`run_jobs_parallel`]), one worker per host core, inline on a
 //!   one-core host, results taken in candidate order. A fork shares no
@@ -235,13 +236,8 @@ fn measure(db: &mut Database, go: impl Fn(&mut Database) -> DbResult<()>) -> DbR
 /// time; no copy of a table is held in between.
 fn pilot_image(db: &Database, tables: &[(&str, usize)]) -> DbResult<Database> {
     let total_rows: usize = tables.iter().map(|&(_, rows)| rows).sum();
-    let mut profile = db.profile().clone();
-    // Private code blocks at rotation zero: a pilot is its own simulated
-    // core, must not advance the session's block-rotation state, and must
-    // not start from wherever the session's happens to stand.
-    profile.pristine_blocks();
     let mut image = Database::with_capacity(
-        profile,
+        db.profile().clone(),
         db.cpu().config().clone(),
         (total_rows as u64 / 8).max(1024),
     );
@@ -755,10 +751,17 @@ mod tests {
         sess.sql(SCAN).unwrap(); // a core with some history
         let state = |sess: &Session| {
             let db = sess.db().unwrap();
+            let blocks = &db.profile().blocks;
             (
                 db.cpu().snapshot(),
-                // `Debug` is the only window on the blocks' rotation.
-                format!("{:?}", db.profile().blocks),
+                [
+                    &blocks.query_setup,
+                    &blocks.scan_next,
+                    &blocks.hash_probe,
+                    &blocks.batch.dispatch,
+                    &blocks.batch.hash_step,
+                ]
+                .map(|block| db.cpu().rotation(block)),
                 [db.ctx.heap.used(), db.ctx.index.used(), db.ctx.misc.used()],
                 db.catalog_epoch,
             )

@@ -678,17 +678,17 @@ impl Database {
                 got: values.len(),
             });
         }
+        let at = self
+            .txn
+            .active
+            .get_mut(&txn.0)
+            .ok_or(DbError::TxnUnknown { txn: txn.0 })?;
         let blocks = Arc::clone(&self.profile.blocks);
         // Staging cost: format the row into the private tuple buffer. The
         // heap/index work is charged at commit, where it actually happens.
         self.ctx.exec(&blocks.insert_step);
         self.ctx
             .store_touch(blocks.tuple_buf, (arity * 4) as u32, MemDep::Demand);
-        let at = self
-            .txn
-            .active
-            .get_mut(&txn.0)
-            .ok_or(DbError::TxnUnknown { txn: txn.0 })?;
         at.inserts.push((ti, values));
         Ok(QueryResult {
             value: 0.0,

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use wdtg_memdb::testutil::{build_db_with_indexes, rows_for};
 use wdtg_memdb::{
-    Database, DbError, FaultPlan, FaultSite, PageLayout, Query, Session, SystemId, WalRecord,
+    Database, DbError, FaultPlan, FaultSite, PageLayout, Query, Session, SystemId, TxnId, WalRecord,
 };
 
 fn db_with_key_index(n_rows: usize, seed: u64) -> (Database, Vec<Vec<i32>>) {
@@ -103,6 +103,30 @@ fn first_committer_wins_and_loser_is_aborted() {
         db.txn_run(t2, &select_a3(20)),
         Err(DbError::TxnUnknown { .. })
     ));
+}
+
+#[test]
+fn a_statement_under_an_unknown_transaction_costs_nothing() {
+    let (mut db, _) = db_with_key_index(200, 8);
+    let t = db.begin();
+    db.txn_run(t, &add_a3(3, 1)).unwrap();
+    db.commit(t).unwrap();
+    let insert = Query::InsertRow {
+        table: "R".into(),
+        values: vec![100_000, 1, 2, 3, 4],
+    };
+    for q in [select_a3(3), add_a3(3, 1), insert] {
+        let (cpu, wal) = (db.cpu().snapshot(), db.wal().records().to_vec());
+        assert!(
+            matches!(
+                db.txn_run(TxnId(999), &q),
+                Err(DbError::TxnUnknown { txn: 999 })
+            ),
+            "{q:?}"
+        );
+        assert!(db.cpu().snapshot() == cpu, "{q:?} charged the core");
+        assert_eq!(db.wal().records(), &wal[..], "{q:?}");
+    }
 }
 
 #[test]

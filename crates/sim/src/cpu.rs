@@ -131,6 +131,37 @@ pub fn merge_cores(deltas: &[Snapshot]) -> CoreMerge {
     }
 }
 
+/// Slots in a core's rotation table: an engine profile places 35 blocks and
+/// the core adds its kernel block, so the table stays sparse.
+const ROTATION_SLOTS: usize = 128;
+/// The key of an empty slot (no block starts at the top of the address
+/// space).
+const NO_BLOCK: u64 = u64::MAX;
+
+/// The probe rotation of every block a core has run, keyed by the block's
+/// `base`: successive calls of one code path take different routes through
+/// its function, so what a call fetches and probes depends on how many
+/// calls of that block came before it — on this core. Open-addressed and
+/// held inline, so a lookup touches no heap.
+#[derive(Debug)]
+struct Rotations([(u64, u32); ROTATION_SLOTS]);
+
+impl Rotations {
+    const COLD: Rotations = Rotations([(NO_BLOCK, 0); ROTATION_SLOTS]);
+
+    /// The slot holding `base`, or the empty one it would take (at rotation
+    /// zero); `None` when every slot holds another block. Fibonacci hashing
+    /// spreads blocks laid out at a regular stride.
+    #[inline]
+    fn find(&self, base: u64) -> Option<usize> {
+        let home = (base.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            >> (u64::BITS - ROTATION_SLOTS.ilog2())) as usize;
+        (home..home + ROTATION_SLOTS)
+            .map(|i| i % ROTATION_SLOTS)
+            .find(|&i| self.0[i].0 == base || self.0[i].0 == NO_BLOCK)
+    }
+}
+
 /// The simulated Pentium II Xeon-class processor.
 #[derive(Debug)]
 pub struct Cpu {
@@ -150,6 +181,7 @@ pub struct Cpu {
     mode: Mode,
     next_interrupt: f64,
     kernel_block: Option<CodeBlock>,
+    rotations: Rotations,
     prefetch_q: VecDeque<(u64, f64)>,
     prefetch_bus_free: f64,
     run_miss_buf: Vec<u64>,
@@ -202,6 +234,7 @@ impl Cpu {
             mode: Mode::User,
             next_interrupt: cfg.interrupts.period_cycles as f64,
             kernel_block,
+            rotations: Rotations::COLD,
             prefetch_q: VecDeque::with_capacity(8),
             prefetch_bus_free: 0.0,
             run_miss_buf: Vec::with_capacity(64),
@@ -263,9 +296,18 @@ impl Cpu {
         }
     }
 
+    /// The probe rotation the next call of `block` on this core starts from:
+    /// zero for a block the core has not run since it was cold, and one
+    /// more per fetch phase, private-data probe and branch probe of every
+    /// call since.
+    pub fn rotation(&self, block: &CodeBlock) -> u32 {
+        let slot = self.rotations.find(block.base);
+        slot.map_or(0, |i| self.rotations.0[i].1)
+    }
+
     /// Zeroes counters, ledger and the cycle clock but keeps all
-    /// microarchitectural state (cache, TLB, BTB contents) warm — the §4.3
-    /// methodology measures only after warm-up runs.
+    /// microarchitectural state (cache, TLB, BTB contents, block rotations)
+    /// warm — the §4.3 methodology measures only after warm-up runs.
     pub fn reset_stats(&mut self) {
         self.counters.reset();
         self.ledger.reset();
@@ -283,16 +325,18 @@ impl Cpu {
     /// Returns the processor, in place, to the cold state [`Cpu::new`] builds
     /// from the same configuration: caches, TLBs, BTB and predictor empty,
     /// counters, ledger and clock at zero, user mode, the interrupt timer
-    /// and the kernel block's rotation rewound, no prefetch in flight. The
-    /// stream of calls that follows therefore produces, bit for bit, what it
-    /// would on a new processor — without the ~300 KB of allocations a new
-    /// one makes, which is what lets the SQL planner give every candidate a
-    /// pristine core on a worker thread that allocates nothing large.
+    /// rewound, every block's rotation back at zero, no prefetch in flight.
+    /// The stream of calls that follows therefore produces, bit for bit,
+    /// what it would on a new processor — without the ~300 KB of
+    /// allocations a new one makes, which is what lets the SQL planner give
+    /// every candidate a pristine core on a worker thread that allocates
+    /// nothing large.
     pub fn reset_cold(&mut self) {
         self.reset_stats();
         // Exhaustive, so a field added to `Cpu` cannot be forgotten here;
-        // the fields bound to `_` are configuration, or what `reset_stats`
-        // has just zeroed (counters, residue, ledger, clock, timer).
+        // the fields bound to `_` are configuration (the kernel block is
+        // built from it), or what `reset_stats` has just zeroed (counters,
+        // residue, ledger, clock, timer).
         let Cpu {
             cfg: _,
             line_shift: _,
@@ -309,7 +353,8 @@ impl Cpu {
             cycles_by_mode: _,
             mode,
             next_interrupt: _,
-            kernel_block,
+            kernel_block: _,
+            rotations,
             prefetch_q,
             prefetch_bus_free,
             run_miss_buf,
@@ -325,9 +370,7 @@ impl Cpu {
         dtlb.clear();
         branch_unit.clear();
         *mode = Mode::User;
-        if let Some(block) = kernel_block {
-            block.reset_rotation();
-        }
+        *rotations = Rotations::COLD;
         prefetch_q.clear();
         *prefetch_bus_free = 0.0;
         run_miss_buf.clear();
@@ -899,6 +942,14 @@ impl Cpu {
     /// Executes one invocation of an instrumented code block: instruction
     /// fetch over its path, pipeline cost, implicit private-data references
     /// and bulk-modelled structural branches.
+    ///
+    /// What a call fetches and probes rotates from call to call; the core
+    /// keeps that rotation per `block.base` ([`Cpu::rotation`]), so any
+    /// number of cores may share a block, and blocks at one `base` are one
+    /// block to a core.
+    ///
+    /// # Panics
+    /// On the first call of a block after 128 others since the core was cold.
     pub fn exec_block(&mut self, block: &CodeBlock) {
         self.exec_block_scaled_inner(block, 1, true);
     }
@@ -914,10 +965,6 @@ impl Cpu {
         }
     }
 
-    fn exec_block_inner(&mut self, block: &CodeBlock, allow_interrupt: bool) {
-        self.exec_block_scaled_inner(block, 1, allow_interrupt);
-    }
-
     fn exec_block_scaled_inner(&mut self, block: &CodeBlock, times: u32, allow_interrupt: bool) {
         let run_lines = block.seq_run_lines(self.cfg.l1i.line_bytes);
         // Successive invocations take different branches through the
@@ -926,7 +973,13 @@ impl Cpu {
         // This makes a block's effective footprint larger than one path and
         // produces the partial L1I miss rates real engines show, instead of
         // all-or-nothing residency.
-        let phase = (block.next_rot() % 5) as u64;
+        let slot = self.rotations.find(block.base).unwrap_or_else(|| {
+            panic!("a core runs at most {ROTATION_SLOTS} code blocks (distinct `base`s)")
+        });
+        self.rotations.0[slot].0 = block.base;
+        let mut rot = self.rotations.0[slot].1;
+        let phase = (rot % 5) as u64;
+        rot = rot.wrapping_add(1);
         let offset = phase * (block.path_bytes as u64 / 8);
         self.ifetch(block.base + offset, block.path_bytes, run_lines);
 
@@ -959,7 +1012,8 @@ impl Cpu {
             let probes = probes.min(mem_refs);
             self.bump(Event::DataMemRefs, mem_refs - probes);
             for _ in 0..probes {
-                let r = block.next_rot() as u64;
+                let r = rot as u64;
+                rot = rot.wrapping_add(1);
                 let off = modulo(
                     r.wrapping_mul(197) << self.line_shift,
                     block.private_bytes as u64,
@@ -1003,7 +1057,8 @@ impl Cpu {
                 block.dyn_bias
             };
             for _ in 0..probes {
-                let idx = (block.next_rot() % sites) as u64;
+                let idx = (rot % sites) as u64;
+                rot = rot.wrapping_add(1);
                 let addr = block.base + 2 + idx * spacing;
                 let hit = self.branch_unit.probe(addr, block.taken_frac >= 0.5);
                 let (cold, warm) = if hit {
@@ -1024,6 +1079,9 @@ impl Cpu {
             }
         }
 
+        // Written back before an interrupt runs the kernel block, which may
+        // claim a slot of its own.
+        self.rotations.0[slot].1 = rot;
         if allow_interrupt {
             self.maybe_interrupt();
         }
@@ -1044,7 +1102,7 @@ impl Cpu {
             self.mode = Mode::Sup;
             self.bump(Event::SimKernelEntries, 1);
             let block = self.kernel_block.take().expect("kernel block configured");
-            self.exec_block_inner(&block, false);
+            self.exec_block_scaled_inner(&block, 1, false);
             self.kernel_block = Some(block);
             self.mode = prev;
         }
@@ -1139,8 +1197,6 @@ mod tests {
                         .at(segment::CODE + pick(64) * 1000)
                 })
                 .collect();
-            // Blocks carry their rotation state: one set per processor.
-            let reference_blocks = blocks.clone();
             let mut cpu = Cpu::new(cfg.clone());
             let mut reference = Cpu::new(cfg);
             reference.per_line_ifetch = true;
@@ -1151,7 +1207,7 @@ mod tests {
                     segment::HEAP + pick(1 << 20),
                     1 + pick(200) as u32,
                 );
-                for (cpu, blocks) in [(&mut cpu, &blocks), (&mut reference, &reference_blocks)] {
+                for cpu in [&mut cpu, &mut reference] {
                     match op {
                         0..=3 => cpu.exec_block(&blocks[which]),
                         4 => cpu.exec_block_scaled(&blocks[which], len % 5),
@@ -1629,7 +1685,11 @@ mod tests {
         };
         for interrupts in [InterruptCfg::disabled(), timer] {
             let cfg = CpuConfig::pentium_ii_xeon().with_interrupts(interrupts);
-            let blocks = [block(300), block(20 << 10), block(100_000)];
+            let blocks = [300, 20 << 10, 100_000].map(|bytes| {
+                CodeBlock::builder("t", bytes)
+                    .private(segment::PRIVATE, 2048)
+                    .at(segment::CODE + 2 * bytes as u64)
+            });
             let mut fresh = Cpu::new(cfg.clone());
             mixed_stream(&mut fresh, &blocks, 7);
 
@@ -1638,8 +1698,6 @@ mod tests {
             assert_ne!(reused.snapshot(), Cpu::new(reused.cfg.clone()).snapshot());
             reused.reset_cold();
             assert_eq!(reused.snapshot(), Cpu::new(reused.cfg.clone()).snapshot());
-            // The blocks' rotation is part of the stream and theirs to rewind.
-            blocks.iter().for_each(CodeBlock::reset_rotation);
             mixed_stream(&mut reused, &blocks, 7);
 
             assert_eq!(reused.snapshot(), fresh.snapshot());
@@ -1656,6 +1714,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The rotation is the core's: one step per fetch phase and per probe,
+    /// kept per `base`, warm across `reset_stats`, gone after `reset_cold`,
+    /// and a block shared by two cores never sees the other core's calls.
+    #[test]
+    fn each_core_keeps_its_own_rotation_per_block() {
+        let a = block(300);
+        let b = CodeBlock::builder("u", 300)
+            .private(segment::PRIVATE, 2048)
+            .at(segment::CODE + 4096);
+        let mut cpu = quiet_cpu();
+        cpu.exec_block(&a);
+        cpu.exec_block(&a);
+        // One fetch phase, four private-data and four branch probes a call.
+        assert_eq!(cpu.rotation(&a), 18);
+        assert_eq!(cpu.rotation(&b), 0, "another base");
+        assert_eq!(quiet_cpu().rotation(&a), 0, "another core");
+        let alias = CodeBlock {
+            name: "alias",
+            ..a.clone()
+        };
+        assert_eq!(cpu.rotation(&alias), 18, "a base is a block");
+        cpu.reset_stats();
+        assert_eq!(cpu.rotation(&a), 18);
+        cpu.reset_cold();
+        assert_eq!(cpu.rotation(&a), 0);
+
+        let mut alone = quiet_cpu();
+        let (mut x, mut y) = (quiet_cpu(), quiet_cpu());
+        for _ in 0..50 {
+            alone.exec_block(&a);
+            x.exec_block(&a);
+            y.exec_block(&a);
+            y.exec_block(&b);
+        }
+        assert_eq!(x.snapshot(), alone.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 128 code blocks")]
+    fn a_core_refuses_one_block_more_than_its_table_holds() {
+        let mut cpu = quiet_cpu();
+        for i in 0..ROTATION_SLOTS as u64 {
+            cpu.exec_block(&CodeBlock::builder("t", 64).at(segment::CODE + i * 64));
+        }
+        // A full table still finds every block it holds.
+        let first = CodeBlock::builder("t", 64).at(segment::CODE);
+        cpu.exec_block(&first);
+        assert_eq!(cpu.rotation(&first), 8, "two calls of four steps");
+        cpu.exec_block(&CodeBlock::builder("t", 64).at(segment::MISC));
     }
 
     #[test]

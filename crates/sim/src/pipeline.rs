@@ -14,8 +14,12 @@
 //! [`crate::Cpu::load`]/[`crate::Cpu::store`]/[`crate::Cpu::branch`] calls
 //! for the data accesses and data-dependent branches whose behaviour must
 //! *emerge* from the simulation rather than being declared.
-
-use std::sync::atomic::{AtomicU32, Ordering};
+//!
+//! A block is immutable data, shared freely between cores and threads.
+//! Successive calls of one path take different routes through its
+//! function; the [`crate::Cpu`] models that with a probe rotation it keeps
+//! per block `base`, so the rotation is state of one simulated core, never
+//! of the block.
 
 use crate::config::PipelineCfg;
 
@@ -32,7 +36,9 @@ pub const UOPS_PER_X86_INSTR: f64 = 2.0;
 pub struct CodeBlock {
     /// Human-readable name (operator/function name), used in reports.
     pub name: &'static str,
-    /// Simulated address of the first instruction byte.
+    /// Simulated address of the first instruction byte. It is also the
+    /// block's identity on a core: two blocks at one `base` share the
+    /// core's probe rotation ([`crate::Cpu::exec_block`]).
     pub base: u64,
     /// Length in bytes of the dynamic path through the function. The fetch
     /// unit touches `path_bytes / line_bytes` I-cache lines per invocation.
@@ -71,45 +77,6 @@ pub struct CodeBlock {
     /// Fraction of x86 instructions longer than 7 bytes, each charging one
     /// instruction-length-decoder stall cycle (T_ILD).
     pub long_instr_frac: f64,
-    /// Rotation state for representative probe addresses (interior mutability
-    /// so blocks can be shared immutably by the engine).
-    pub(crate) rot: Rot,
-}
-
-/// The rotation counter of a [`CodeBlock`]: a cloneable atomic so blocks are
-/// `Sync` (shards move across OS threads under the parallel executor).
-///
-/// Determinism caveat: the counter is part of the simulated instruction
-/// stream, so two *cores* must never share one block — each simulated core
-/// needs its own block set ([`CodeBlock`] clones carry the current rotation
-/// value), otherwise interleaving would make probe addresses depend on the
-/// host schedule. The engine privatizes block sets per shard for exactly
-/// this reason.
-///
-/// That one-owner rule is also why [`Rot::next`] is a plain load and store
-/// rather than an atomic read-modify-write: with a single core advancing the
-/// counter there is no concurrent update to lose, and a block handed to
-/// another thread travels with its `Cpu` through a channel or a join, which
-/// orders the hand-over. Two cores sharing a block would already be a
-/// determinism bug; they would now also skip or repeat rotation values,
-/// never anything unsafe. A block executes up to nine rotations per
-/// invocation, so the locked instruction this avoids was the single most
-/// repeated one in `Cpu::exec_block`.
-#[derive(Debug, Default)]
-pub(crate) struct Rot(AtomicU32);
-
-impl Clone for Rot {
-    fn clone(&self) -> Self {
-        Rot(AtomicU32::new(self.0.load(Ordering::Relaxed)))
-    }
-}
-
-impl Rot {
-    fn next(&self) -> u32 {
-        let rot = self.0.load(Ordering::Relaxed);
-        self.0.store(rot.wrapping_add(1), Ordering::Relaxed);
-        rot
-    }
 }
 
 impl CodeBlock {
@@ -142,7 +109,6 @@ impl CodeBlock {
                 dep_frac: 0.22,
                 fu_frac: 0.18,
                 long_instr_frac: 0.04,
-                rot: Rot::default(),
             },
         }
     }
@@ -161,19 +127,6 @@ impl CodeBlock {
         let taken = self.dyn_branches as f64 * self.taken_frac;
         let run_bytes = self.path_bytes as f64 / (1.0 + taken);
         (run_bytes / line_bytes as f64) as u32
-    }
-
-    pub(crate) fn next_rot(&self) -> u32 {
-        self.rot.next()
-    }
-
-    /// Puts the probe-address rotation back where [`CodeBlock::builder`]
-    /// starts it, so the block's next invocation probes what its first did.
-    /// A clone carries the rotation it was taken at; a core that must start
-    /// from the same stream whatever its blocks' source has been through
-    /// (the SQL planner's pilot databases) resets its private clone.
-    pub fn reset_rotation(&self) {
-        self.rot.0.store(0, Ordering::Relaxed);
     }
 }
 
@@ -355,12 +308,5 @@ mod tests {
             (total - b.uops as f64 * 0.6).abs() < 1e-9,
             "max constraint binds"
         );
-    }
-
-    #[test]
-    fn rotation_advances() {
-        let b = CodeBlock::builder("r", 64).at(0);
-        assert_eq!(b.next_rot(), 0);
-        assert_eq!(b.next_rot(), 1);
     }
 }

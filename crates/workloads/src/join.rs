@@ -48,17 +48,6 @@ impl Default for JoinSpec {
 }
 
 impl JoinSpec {
-    /// The §3.3 microbenchmark join at a [`crate::scale::Scale`]'s sizes
-    /// (R = probe, S = build, |R|/|S| = 30).
-    pub fn from_scale(scale: crate::scale::Scale) -> JoinSpec {
-        JoinSpec {
-            build_rows: scale.s_records,
-            probe_rows: scale.r_records,
-            record_bytes: scale.record_bytes,
-            match_rate: 1.0,
-        }
-    }
-
     /// A CI/test-sized spec that keeps the default's cache regime (naive
     /// build table still past the L2) at a fraction of the runtime.
     pub fn test_scale() -> JoinSpec {

@@ -68,13 +68,6 @@ impl SweepSpec {
             selectivities: vec![0.01, 0.25, 0.4, 0.5, 0.6, 0.75, 0.99],
         }
     }
-
-    /// The paper's Fig 5.4 x-axis (0%, 1%, 5%, 10%, 50%, 100%).
-    pub fn fig5_4() -> SweepSpec {
-        SweepSpec {
-            selectivities: vec![0.0, 0.01, 0.05, 0.1, 0.5, 1.0],
-        }
-    }
 }
 
 /// Generates R's rows: `a1` sequential unique, `a2` uniform over the domain

@@ -2,9 +2,11 @@
 //! Determinism is what makes the two-counter multiplexing methodology exact
 //! in the simulator (and merely "stddev < 5%" on the real machine, §4.3).
 
-use wdtg_core::methodology::{build_db, measure_query, Methodology};
-use wdtg_memdb::SystemId;
-use wdtg_sim::{CpuConfig, Event, Mode};
+use std::sync::Arc;
+
+use wdtg_core::methodology::{build_db, build_db_with_layout, measure_query, Methodology};
+use wdtg_memdb::{EngineProfile, PageLayout, SystemId};
+use wdtg_sim::{CpuConfig, Event, Mode, Snapshot};
 use wdtg_workloads::{micro, MicroQuery, Scale};
 
 #[test]
@@ -128,4 +130,42 @@ fn warm_runs_are_faster_than_cold_runs() {
     let cold = s1.cycles - s0.cycles;
     let warm = s2.cycles - s1.cycles;
     assert!(warm < cold, "warm {warm} vs cold {cold}");
+}
+
+/// A core's stream is a function of its own work alone. Two databases built
+/// from clones of one profile share one `Arc<EngineBlocks>`; running their
+/// statements interleaved must leave each core exactly where running that
+/// database alone does.
+#[test]
+fn databases_sharing_one_block_set_do_not_disturb_each_other() {
+    let (scale, cfg) = (Scale::tiny(), CpuConfig::pentium_ii_xeon());
+    let srs = MicroQuery::SequentialRangeSelection;
+    let queries = [micro::query(scale, srs, 0.1), micro::query(scale, srs, 0.5)];
+    let build =
+        |profile| build_db_with_layout(profile, scale, srs, &cfg, PageLayout::Nsm).expect("build");
+    let alone: Vec<Snapshot> = queries
+        .iter()
+        .map(|q| {
+            let mut db = build(EngineProfile::system(SystemId::C));
+            for _ in 0..3 {
+                db.run(q).expect("runs");
+            }
+            db.cpu().snapshot()
+        })
+        .collect();
+
+    let profile = EngineProfile::system(SystemId::C);
+    let mut dbs = [build(profile.clone()), build(profile)];
+    assert!(Arc::ptr_eq(
+        &dbs[0].profile().blocks,
+        &dbs[1].profile().blocks
+    ));
+    for _ in 0..3 {
+        for (db, q) in dbs.iter_mut().zip(&queries) {
+            db.run(q).expect("runs");
+        }
+    }
+    for (i, (db, want)) in dbs.iter().zip(&alone).enumerate() {
+        assert!(db.cpu().snapshot() == *want, "database {i} was disturbed");
+    }
 }
