@@ -13,6 +13,14 @@
 //! unindexed sequential-range database, Systems A–D in row mode and System C
 //! in batch mode, plus one 4-shard morselized run on the thread pool.
 //!
+//! A third table pins the autocommit write path — the one the TPC-C driver
+//! takes, with every `UPDATE`/`INSERT` an implicit single-statement
+//! transaction: 300 `TpccDriver` transactions (`TpccScale::tiny`, seed 1) on
+//! Systems A–D, plus two System C autocommit `UpdateAdd`s on an `a2` key
+//! that 28 rows of the microbenchmark table share. Besides the five
+//! counter fields it pins the WAL's record and commit counts and the
+//! database's `state_digest`.
+//!
 //! **A golden may change only in a commit that says, in one sentence, why
 //! the model's answer moved.** A host-side optimisation of the simulator or
 //! the engine must leave every value here untouched; that is what this file
@@ -22,10 +30,12 @@
 
 use wdtg_core::methodology::{build_db, build_sharded_db_with_layout};
 use wdtg_memdb::{
-    AggSpec, EngineProfile, ExecMode, PageLayout, ParallelConfig, QueryPredicate, SystemId,
+    AggSpec, Database, EngineProfile, ExecMode, PageLayout, ParallelConfig, Query, QueryPredicate,
+    SystemId,
 };
 use wdtg_sim::{CpuConfig, Event, Snapshot};
-use wdtg_workloads::{micro, MicroQuery, Scale};
+use wdtg_workloads::tpcc::{self, TpccScale};
+use wdtg_workloads::{micro, MicroQuery, Scale, TpccDriver};
 
 /// `(system, query, mode, cycles.to_bits(), INST_RETIRED, L1I misses,
 /// L2 data misses, branch mispredictions)`.
@@ -79,6 +89,29 @@ const GROUPED_GOLDENS: [GroupedGolden; 10] = [
 /// the merged total over every shard.
 const SHARDED_GROUPED_GOLDEN: (u64, u64, u64, u64, u64) =
     (0x4190097775a0e436, 61190083, 574354, 2172, 509812); // 67263965.4 cycles
+
+/// `(system, cycles.to_bits(), INST_RETIRED, L1I misses, L2 data misses,
+/// branch mispredictions, WAL records, WAL commits, state_digest)` after
+/// the measured TPC-C transactions.
+type AutocommitGolden = (SystemId, u64, u64, u64, u64, u64, usize, usize, u64);
+
+#[rustfmt::skip]
+const AUTOCOMMIT_GOLDENS: [AutocommitGolden; 4] = [
+    (A, 0x4195d510b6c94ed9, 29156708, 2340158, 747678, 374700, 7000, 3500, 0x42d57ed5c7175770), // 91571245.7 cycles
+    (B, 0x419dbd4817ed450e, 42858466, 3576527, 750515, 794789, 7000, 3500, 0x42d57ed5c7175770), // 124736006.0 cycles
+    (C, 0x41a2cd8a2b8f5ee4, 51476572, 4451415, 766105, 931414, 7000, 3500, 0x42d57ed5c7175770), // 157730069.8 cycles
+    (D, 0x41a542cc3a4880e2, 60633058, 5336296, 765740, 982167, 7000, 3500, 0x42d57ed5c7175770), // 178349597.1 cycles
+];
+
+/// The `a2` key both autocommit `UpdateAdd`s of the System C row set.
+const UPDATE_KEY: i32 = 7;
+
+/// `(rows matched, the five counter fields, WAL records, WAL commits,
+/// state_digest)` of the two System C autocommit `UpdateAdd`s on
+/// [`UPDATE_KEY`].
+#[rustfmt::skip]
+const AUTOCOMMIT_UPDATE_GOLDEN: (u64, u64, u64, u64, u64, u64, usize, usize, u64) =
+    (28, 0x4126d1e8deb8519b, 353084, 26275, 583, 5994, 58, 2, 0x844b4beaea1ad170); // 747764.4 cycles
 
 /// `(cycles.to_bits(), INST_RETIRED, L1I misses, L2 data misses, branch
 /// mispredictions)` of a measured delta.
@@ -153,6 +186,63 @@ fn measure_sharded_grouped() -> (u64, u64, u64, u64, u64) {
     fields(&db.merged_delta(&before).total)
 }
 
+fn measure_tpcc(system: SystemId) -> AutocommitGolden {
+    let scale = TpccScale::tiny();
+    let mut db = Database::with_capacity(
+        EngineProfile::system(system),
+        CpuConfig::pentium_ii_xeon(),
+        1 << 16,
+    );
+    db.ctx.instrument = false;
+    tpcc::load(&mut db, scale, 1).expect("load");
+    db.ctx.instrument = true;
+    let before = db.cpu().snapshot();
+    TpccDriver::new(scale, 1).run(&mut db, 300).expect("txns");
+    let (cyc, instr, l1i, l2d, br) = fields(&db.cpu().snapshot().delta(&before));
+    let wal = db.wal();
+    let (records, commits) = (wal.records().len(), wal.commit_count());
+    (
+        system,
+        cyc,
+        instr,
+        l1i,
+        l2d,
+        br,
+        records,
+        commits,
+        db.state_digest(),
+    )
+}
+
+fn measure_autocommit_update() -> (u64, u64, u64, u64, u64, u64, usize, usize, u64) {
+    let query = MicroQuery::IndexedRangeSelection;
+    let mut db = build_db(C, Scale::tiny(), query, &CpuConfig::pentium_ii_xeon()).expect("build");
+    let update = Query::UpdateAdd {
+        table: "R".into(),
+        key_col: "a2".into(),
+        key: UPDATE_KEY,
+        set_col: "a3".into(),
+        delta: 5,
+    };
+    let before = db.cpu().snapshot();
+    let rows = db.run(&update).expect("first update").rows;
+    assert_eq!(db.run(&update).expect("second update").rows, rows);
+    let (cyc, instr, l1i, l2d, br) = fields(&db.cpu().snapshot().delta(&before));
+    let wal = db.wal();
+    let (records, commits) = (wal.records().len(), wal.commit_count());
+    (
+        rows,
+        cyc,
+        instr,
+        l1i,
+        l2d,
+        br,
+        records,
+        commits,
+        db.state_digest(),
+    )
+}
+
 fn render(rows: &[Golden]) -> String {
     let q = |q: MicroQuery| match q {
         SRS => "SRS",
@@ -222,6 +312,42 @@ fn grouped_aggregate_counters_are_bit_exact() {
         "simulated counters moved. If the model changed on purpose, say why in the commit and \
          replace GROUPED_GOLDENS with:\n{rows}and SHARDED_GROUPED_GOLDEN with:\n    \
          ({cyc:#018x}, {instr}, {l1i}, {l2d}, {br}) // {:.1} cycles",
+        f64::from_bits(cyc)
+    );
+}
+
+#[test]
+fn autocommit_write_path_is_bit_exact() {
+    let (measured, update) = std::thread::scope(|s| {
+        let cells: Vec<_> = [A, B, C, D]
+            .into_iter()
+            .map(|system| s.spawn(move || measure_tpcc(system)))
+            .collect();
+        let update = s.spawn(measure_autocommit_update);
+        let measured: Vec<AutocommitGolden> = cells
+            .into_iter()
+            .map(|cell| cell.join().expect("cell measures"))
+            .collect();
+        (measured, update.join().expect("update measures"))
+    });
+    let rows: String = measured
+        .iter()
+        .map(|&(s, cyc, instr, l1i, l2d, br, recs, commits, digest)| {
+            format!(
+                "    ({s:?}, {cyc:#018x}, {instr}, {l1i}, {l2d}, {br}, {recs}, {commits}, \
+                 {digest:#018x}), // {:.1} cycles\n",
+                f64::from_bits(cyc)
+            )
+        })
+        .collect();
+    let (n, cyc, instr, l1i, l2d, br, recs, commits, digest) = update;
+    assert!(n > 1, "UPDATE_KEY must match several rows, matched {n}");
+    assert!(
+        measured == AUTOCOMMIT_GOLDENS && update == AUTOCOMMIT_UPDATE_GOLDEN,
+        "simulated counters moved. If the model changed on purpose, say why in the commit and \
+         replace AUTOCOMMIT_GOLDENS with:\n{rows}and AUTOCOMMIT_UPDATE_GOLDEN with:\n    \
+         ({n}, {cyc:#018x}, {instr}, {l1i}, {l2d}, {br}, {recs}, {commits}, {digest:#018x}); \
+         // {:.1} cycles",
         f64::from_bits(cyc)
     );
 }
