@@ -6,6 +6,13 @@
 //! selectivity. Each time emon executed one such unit, it measured a pair of
 //! events. … the experiments were repeated several times and the final sets
 //! of numbers exhibit a standard deviation of less than 5 percent."
+//!
+//! The simulator is deterministic, so one warm-up run and a unit of one
+//! query stand in for the paper's warm-up runs and unit of 10: the unit
+//! existed to amortize client/server startup and measurement noise, and a
+//! repeated run here retires the same instructions at the same cost.
+//! [`Methodology::repetitions`] still repeats the measured unit, to check
+//! §4.3's < 5 % stability bar.
 
 use wdtg_emon::{measure_breakdown, ModeSel, Penalties, Target};
 use wdtg_memdb::exec::PhysicalConfig;
@@ -13,7 +20,7 @@ use wdtg_memdb::{
     Database, DbResult, EngineProfile, ExecMode, PageLayout, Query, SelectionMode, ShardedDatabase,
     SystemId,
 };
-use wdtg_sim::{measure_memory_latency, merge_cores, Cpu, CpuConfig, Event, Mode, Snapshot};
+use wdtg_sim::{measure_memory_latency, Cpu, CpuConfig, Event, Mode, Snapshot};
 use wdtg_workloads::{micro, MicroQuery, Scale};
 
 use crate::breakdown::TimeBreakdown;
@@ -21,12 +28,6 @@ use crate::breakdown::TimeBreakdown;
 /// Measurement methodology parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Methodology {
-    /// Warm-up runs of the query before any measurement.
-    pub warmup_runs: u32,
-    /// Queries per measurement unit (the paper uses 10 to amortize
-    /// client/server startup; the simulator is deterministic so the default
-    /// is smaller).
-    pub unit_queries: u32,
     /// Measured repetitions of the unit (ground-truth runs).
     pub repetitions: u32,
     /// Whether to also reconstruct the breakdown through the emon pipeline
@@ -44,22 +45,11 @@ pub struct Methodology {
     /// [`PageLayout::Pax`] regenerates the same breakdowns over
     /// cache-conscious per-attribute minipages.
     pub layout: PageLayout,
-    /// How many hash-partitioned shards (simulated cores) execute the
-    /// query. `1` (the default) is the paper's single-processor setup;
-    /// `> 1` re-partitions the relations via [`Database::shard`] and the
-    /// reported breakdown sums the per-core counters/stalls — the *total
-    /// work* view. (The wall-clock/speedup view lives in
-    /// [`crate::figures::ScalingComparison`], which keeps per-core deltas.)
-    /// The emon reconstruction is single-processor tooling and is skipped
-    /// for sharded runs.
-    pub shards: usize,
 }
 
 impl Default for Methodology {
     fn default() -> Self {
         Methodology {
-            warmup_runs: 1,
-            unit_queries: 1,
             repetitions: 1,
             with_emon: false,
             physical: PhysicalConfig {
@@ -68,23 +58,11 @@ impl Default for Methodology {
                 join_algo: None,
             },
             layout: PageLayout::Nsm,
-            shards: 1,
         }
     }
 }
 
 impl Methodology {
-    /// The paper's full methodology (unit of 10, warmed, emon multiplexing).
-    pub fn paper() -> Methodology {
-        Methodology {
-            warmup_runs: 2,
-            unit_queries: 10,
-            repetitions: 3,
-            with_emon: true,
-            ..Methodology::default()
-        }
-    }
-
     /// The same methodology over the vectorized executor.
     pub fn batched(mut self) -> Methodology {
         self.physical.exec_mode = ExecMode::Batch;
@@ -95,15 +73,6 @@ impl Methodology {
     pub fn pax(self) -> Methodology {
         Methodology {
             layout: PageLayout::Pax,
-            ..self
-        }
-    }
-
-    /// The same methodology over `shards` hash-partitioned cores (`1` = the
-    /// paper's single-processor setup).
-    pub fn with_shards(self, shards: usize) -> Methodology {
-        Methodology {
-            shards: shards.max(1),
             ..self
         }
     }
@@ -197,11 +166,10 @@ impl QueryMeasurement {
     }
 }
 
-/// An emon target wrapping a database and a fixed query unit.
+/// An emon target wrapping a database and a one-query unit.
 pub struct DbTarget<'a> {
     db: &'a mut Database,
     query: Query,
-    unit_queries: u32,
 }
 
 impl Target for DbTarget<'_> {
@@ -209,9 +177,7 @@ impl Target for DbTarget<'_> {
         self.db.cpu().snapshot()
     }
     fn run_unit(&mut self) {
-        for _ in 0..self.unit_queries {
-            self.db.run(&self.query).expect("measured query runs");
-        }
+        self.db.run(&self.query).expect("measured query runs");
     }
 }
 
@@ -298,31 +264,30 @@ pub fn measure_query_with(
     cfg: &CpuConfig,
     m: &Methodology,
 ) -> DbResult<QueryMeasurement> {
-    if m.shards > 1 {
-        return measure_query_sharded(profile, query, selectivity, scale, cfg, m);
-    }
     let system = profile.system;
     let mut db = build_db_with_layout(profile, scale, query, cfg, m.layout)?;
     m.physical.apply(&mut db);
     let q = micro::query(scale, query, selectivity);
 
-    // Warm-up runs (§4.3): caches, TLBs, BTB reach steady state.
-    let mut rows = 0;
-    for _ in 0..m.warmup_runs.max(1) {
-        rows = db.run(&q)?.rows;
-    }
+    // Warm-up run (§4.3): caches, TLBs, BTB reach steady state.
+    let rows = db.run(&q)?.rows;
 
     // Ground-truth repetitions.
-    let (before, last, cycles_per_rep) = measured_reps(
-        m,
-        &mut db,
-        |db| db.cpu().snapshot(),
-        |now, last| now.cycles - last.cycles,
-        |db| db.run(&q).map(|_| ()),
-    )?;
+    let reps = m.repetitions.max(1);
+    let before = db.cpu().snapshot();
+    let mut last = before.clone();
+    let mut cycles_per_rep = Vec::with_capacity(reps as usize);
+    for _ in 0..reps {
+        db.run(&q)?;
+        let now = db.cpu().snapshot();
+        cycles_per_rep.push(now.cycles - last.cycles);
+        last = now;
+    }
     let delta = last.delta(&before);
-    let n = (m.repetitions.max(1) * m.unit_queries.max(1)) as f64;
-    let truth = normalize_per_query(TimeBreakdown::from_snapshot(&delta, Mode::User), n);
+    let truth = normalize_per_query(
+        TimeBreakdown::from_snapshot(&delta, Mode::User),
+        reps as f64,
+    );
     let rates = Rates::from_delta(&delta);
     let rel_stddev = rel_stddev(&cycles_per_rep);
 
@@ -333,14 +298,10 @@ pub fn measure_query_with(
         let mut target = DbTarget {
             db: &mut db,
             query: q.clone(),
-            unit_queries: m.unit_queries,
         };
         let (est, _readings) =
             measure_breakdown(&mut target, ModeSel::User, &penalties).expect("specs valid");
-        Some(normalize_per_query(
-            TimeBreakdown::from_estimate(&est),
-            m.unit_queries.max(1) as f64,
-        ))
+        Some(TimeBreakdown::from_estimate(&est))
     } else {
         None
     };
@@ -352,47 +313,15 @@ pub fn measure_query_with(
         truth,
         estimate,
         rows,
-        denominator: denominator_for(query, scale, rows),
+        // Fig 5.3 divides by R-rows for the sequential queries and by the
+        // selected rows for the indexed selection.
+        denominator: match query {
+            MicroQuery::SequentialRangeSelection | MicroQuery::SequentialJoin => scale.r_records,
+            MicroQuery::IndexedRangeSelection => rows.max(1),
+        },
         rates,
         rel_stddev,
     })
-}
-
-/// The §4.3 measured-repetition protocol, shared verbatim by the
-/// single-core and sharded arms of [`measure_query_with`] so the two can
-/// never drift: `repetitions` × `unit_queries` runs, a per-repetition
-/// cycle delta for the stability bar, and the (before, after) snapshot
-/// pair. Generic over the snapshot state `S` because the sharded arm
-/// carries one [`Snapshot`] per core.
-fn measured_reps<T, S: Clone>(
-    m: &Methodology,
-    target: &mut T,
-    snapshot: impl Fn(&T) -> S,
-    rep_cycles: impl Fn(&S, &S) -> f64,
-    run_one: impl Fn(&mut T) -> DbResult<()>,
-) -> DbResult<(S, S, Vec<f64>)> {
-    let mut cycles_per_rep = Vec::with_capacity(m.repetitions as usize);
-    let before = snapshot(target);
-    let mut last = before.clone();
-    for _ in 0..m.repetitions.max(1) {
-        for _ in 0..m.unit_queries.max(1) {
-            run_one(target)?;
-        }
-        let now = snapshot(target);
-        cycles_per_rep.push(rep_cycles(&now, &last));
-        last = now;
-    }
-    Ok((before, last, cycles_per_rep))
-}
-
-/// The paper's per-record denominator (Fig 5.3): R-rows for the sequential
-/// queries, selected rows for the indexed selection. One definition for
-/// both measurement arms.
-fn denominator_for(query: MicroQuery, scale: Scale, rows: u64) -> u64 {
-    match query {
-        MicroQuery::SequentialRangeSelection | MicroQuery::SequentialJoin => scale.r_records,
-        MicroQuery::IndexedRangeSelection => rows.max(1),
-    }
 }
 
 /// Divides every component of a measured breakdown by `n` executions,
@@ -412,66 +341,6 @@ fn normalize_per_query(mut t: TimeBreakdown, n: f64) -> TimeBreakdown {
     t.cycles /= n;
     t.inst_retired = (t.inst_retired as f64 / n) as u64;
     t
-}
-
-/// The sharded arm of [`measure_query_with`] (`m.shards > 1`): same
-/// warm-up/unit/repetition protocol over a [`ShardedDatabase`]. The
-/// reported breakdown sums the per-core counters and stall cycles — the
-/// *total work* across the fleet, what a machine-wide emon would see. The
-/// wall-clock (max-core) view and speedup curves live in
-/// [`crate::figures::ScalingComparison`]. The two-counter emon
-/// reconstruction is single-processor tooling and is skipped.
-fn measure_query_sharded(
-    profile: EngineProfile,
-    query: MicroQuery,
-    selectivity: f64,
-    scale: Scale,
-    cfg: &CpuConfig,
-    m: &Methodology,
-) -> DbResult<QueryMeasurement> {
-    let system = profile.system;
-    let mut db = build_sharded_db_with_layout(profile, scale, query, cfg, m.layout, m.shards)?;
-    db.configure(m.physical);
-    let q = micro::query(scale, query, selectivity);
-
-    // Warm-up runs (§4.3): every shard's caches/TLBs/BTB reach steady state.
-    let mut rows = 0;
-    for _ in 0..m.warmup_runs.max(1) {
-        rows = db.run(&q)?.rows;
-    }
-
-    // Same measured-repetition protocol as the single-core arm, with one
-    // snapshot per core and the machine-wide (summed) cycle delta feeding
-    // the stability bar.
-    let (before, last, cycles_per_rep) = measured_reps(
-        m,
-        &mut db,
-        |db| db.snapshots(),
-        |now, last| now.iter().zip(last).map(|(n, l)| n.cycles - l.cycles).sum(),
-        |db| db.run(&q).map(|_| ()),
-    )?;
-    let deltas: Vec<Snapshot> = last
-        .iter()
-        .zip(&before)
-        .map(|(now, b)| now.delta(b))
-        .collect();
-    let delta = merge_cores(&deltas).total;
-    let n = (m.repetitions.max(1) * m.unit_queries.max(1)) as f64;
-    let truth = normalize_per_query(TimeBreakdown::from_snapshot(&delta, Mode::User), n);
-    let rates = Rates::from_delta(&delta);
-    let rel_stddev = rel_stddev(&cycles_per_rep);
-
-    Ok(QueryMeasurement {
-        system,
-        query,
-        selectivity,
-        truth,
-        estimate: None,
-        rows,
-        denominator: denominator_for(query, scale, rows),
-        rates,
-        rel_stddev,
-    })
 }
 
 /// Measures the memory latency once per configuration (cached per call;

@@ -38,11 +38,6 @@ impl Readings {
         self.values.get(&spec.to_string()).copied()
     }
 
-    /// Value by spec string (e.g. `"INST_RETIRED:USER"`).
-    pub fn get_str(&self, spec: &str) -> Option<u64> {
-        self.values.get(spec).copied()
-    }
-
     /// Number of distinct spec readings.
     pub fn len(&self) -> usize {
         self.values.len()

@@ -1,6 +1,7 @@
 //! The database facade: catalog, storage, instrumented execution context and
 //! the query planner/runner.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use wdtg_sim::{segment, BranchSite, CodeBlock, Cpu, CpuConfig, MemDep};
@@ -24,7 +25,7 @@ use crate::profiles::{EngineProfile, EvalMode, JoinAlgo};
 use crate::query::{AggKind, AggSpec, BoundStatement, Query, QueryPredicate, QueryResult};
 use crate::schema::Schema;
 use crate::shard::{shard_of, ShardedDatabase};
-use crate::txn::TxnState;
+use crate::txn::{TxnState, WriteSet};
 
 /// Instrumented access to simulated memory: every load/store both returns
 /// real bytes and drives the cache simulator, unless instrumentation is off
@@ -1207,13 +1208,14 @@ impl Database {
 
     /// Instrumented single-row update: adds `delta` to `set_col` of every
     /// row whose `key_col` equals `key` (found via the index), as an
-    /// implicit single-statement transaction (WAL-logged and versioned).
+    /// implicit single-statement transaction.
     ///
     /// Two-phase: every row is located and its new value computed with
     /// `checked_add` *before* anything mutates, so an overflowing addition
     /// ([`DbError::ValueOverflow`]) or a mid-statement fault
     /// ([`DbError::PageCorrupt`], ...) leaves the table untouched — no
-    /// silent wraparound and no partially-applied multi-row update.
+    /// silent wraparound and no partially-applied multi-row update. Phase
+    /// two installs the write set as [`Database::commit`] does.
     pub fn update_add(
         &mut self,
         table: &str,
@@ -1224,7 +1226,7 @@ impl Database {
     ) -> DbResult<QueryResult> {
         let blocks = Arc::clone(&self.profile.blocks);
         // Phase 1: locate and compute (instrumented reads, no mutation).
-        let mut updates: Vec<(u64, i32, i32)> = Vec::new();
+        let mut updates: Vec<(u64, i32)> = Vec::new();
         let (ti, sc) = self.for_each_match(table, key_col, key, set_col, |env, rid, addr| {
             env.ctx.exec(&blocks.update_step);
             let v = env.ctx.load_i32(addr, MemDep::Chase);
@@ -1233,18 +1235,22 @@ impl Database {
                 col: set_col.to_string(),
                 key,
             })?;
-            updates.push((rid.pack(), v, nv));
+            updates.push((rid.pack(), nv));
             Ok(())
         })?;
-        let Some(&(_, _, last)) = updates.last() else {
+        let Some(&(_, last)) = updates.last() else {
             return Ok(QueryResult {
                 value: 0.0,
                 rows: 0,
             });
         };
-        // Phase 2: install as an implicit commit (WAL append-before-apply,
-        // version push, instrumented stores).
-        self.autocommit_apply_update(ti, sc, &updates)?;
+        // Phase 2: install under a fresh transaction id.
+        let writes: WriteSet = updates
+            .iter()
+            .map(|&(rid, nv)| ((ti, rid), BTreeMap::from([(sc, nv)])))
+            .collect();
+        let id = self.fresh_txn_id();
+        self.install(id, &writes, &[])?;
         Ok(QueryResult {
             value: last as f64,
             rows: updates.len() as u64,
@@ -1252,11 +1258,11 @@ impl Database {
     }
 
     /// Instrumented single-row insert (heap append + index maintenance), as
-    /// an implicit single-statement transaction. All-or-nothing: every
-    /// fallible step (arena headroom, fault-injection seams) is validated
-    /// before any byte changes, and a residual index-maintenance failure
-    /// unwinds the heap append — a fault can no longer strand a heap record
-    /// that no index can reach.
+    /// an implicit single-statement transaction installed as
+    /// [`Database::commit`] does. All-or-nothing: every fallible step (arena
+    /// headroom, fault-injection seams) is validated before any byte
+    /// changes, and a residual index-maintenance failure unwinds the heap
+    /// append. A failure past the arity check aborts like a failed commit.
     pub fn insert_row(&mut self, table: &str, values: Vec<i32>) -> DbResult<QueryResult> {
         let ti = self.table_idx(table)?;
         let arity = self.tables[ti].schema.arity();
@@ -1266,7 +1272,8 @@ impl Database {
                 got: values.len(),
             });
         }
-        self.autocommit_insert(ti, values)?;
+        let id = self.fresh_txn_id();
+        self.install(id, &WriteSet::new(), &[(ti, values)])?;
         Ok(QueryResult {
             value: 0.0,
             rows: 1,

@@ -32,9 +32,9 @@ use crate::db::Database;
 use crate::error::{DbError, DbResult};
 use crate::exec::partial::{groups, scalar};
 use crate::exec::PhysicalConfig;
-use crate::query::{BoundStatement, Query, QueryResult};
+use crate::query::{BoundStatement, QueryResult};
 use crate::shard::ShardedDatabase;
-use crate::txn::TxnId;
+use crate::txn::{aggregate_in_txn, TxnId};
 
 use super::bind::compile;
 use super::plan::{plan, plannable, PlanReport, Schedule};
@@ -207,29 +207,30 @@ impl Session {
                 "grouped query returns per-group rows; use Session::sql_grouped".into(),
             ));
         };
-        self.plan_and_apply(text, &stmt)?;
-        // An open transaction captures point reads and mutations: reads
-        // see the snapshot (plus the session's own staged writes),
-        // mutations stage until COMMIT. Aggregates have no snapshot-aware
-        // path and keep running in autocommit.
-        let routed = matches!(
-            q,
-            Query::PointSelect { .. } | Query::UpdateAdd { .. } | Query::InsertRow { .. }
-        );
-        match self.current {
-            Some(tid) if routed => self.db.shards[0].txn_run(tid, q),
-            _ => self.db.route(&stmt, None).map(scalar),
+        // An open transaction captures every statement: reads see the
+        // snapshot (plus the session's own staged writes), mutations stage
+        // until COMMIT, and aggregates — which have no snapshot-aware path —
+        // are refused, unplanned.
+        if let Some(tid) = self.current {
+            return self.db.shards[0].txn_run(tid, q);
         }
+        self.plan_and_apply(text, &stmt)?;
+        self.db.route(&stmt, None).map(scalar)
     }
 
     /// Executes a `GROUP BY` aggregate, returning `(group key, value)`
-    /// pairs in ascending key order.
+    /// pairs in ascending key order. Refused with [`DbError::PlanError`]
+    /// while a transaction is open, like every aggregate: no aggregate
+    /// path sees a snapshot.
     pub fn sql_grouped(&mut self, text: &str) -> DbResult<Vec<(i32, f64)>> {
         let stmt = compile(self.plan_db(), text)?;
         if !matches!(stmt, BoundStatement::Grouped { .. }) {
             return Err(DbError::PlanError(
                 "statement is not grouped; use Session::sql".into(),
             ));
+        }
+        if self.current.is_some() {
+            return Err(aggregate_in_txn());
         }
         self.plan_and_apply(text, &stmt)?;
         self.db.route(&stmt, None).map(groups)
@@ -262,7 +263,8 @@ impl Session {
 
     /// Opens a transaction; subsequent point reads and mutations through
     /// [`Session::sql`] run against its snapshot until [`Session::commit`]
-    /// or [`Session::abort`]. One transaction at a time per session;
+    /// or [`Session::abort`], and aggregates are refused with
+    /// [`DbError::PlanError`] until then. One transaction at a time per session;
     /// beginning while one is open reports a [`DbError::PlanError`], as
     /// does beginning on a session over more than one shard (the
     /// transaction machinery is single-core; see [`crate::txn`]).

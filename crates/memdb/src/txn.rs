@@ -30,10 +30,15 @@
 //!   (verified by [`Database::state_digest`]) after a simulated crash at
 //!   any commit boundary.
 //!
-//! Autocommit mutations ([`Database::update_add`] / [`Database::insert_row`])
-//! route through the same machinery as implicit single-statement
-//! transactions: overflow and torn-write failures now surface *before* any
-//! byte changes, and every successful mutation is WAL-logged and versioned.
+//! One code path logs, applies and seals every transaction: `install`.
+//! [`Database::commit`] reaches it after validating an explicit transaction;
+//! the autocommit mutations ([`Database::update_add`] /
+//! [`Database::insert_row`]) reach it as implicit single-statement
+//! transactions under a fresh id. Overflow and torn-write failures surface
+//! *before* any byte changes, every successful mutation is WAL-logged and
+//! versioned, and every failure after the id is assigned — explicit or
+//! implicit — closes the transaction with one [`WalRecord::Abort`] and
+//! counts in [`TxnStats::aborted`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -155,14 +160,18 @@ struct Version {
     row: Vec<i32>,
 }
 
+/// Staged single-field writes: `(table, packed rid) -> col -> new value`.
+/// BTreeMaps keep install-time iteration deterministic: ascending rid, which
+/// for the rids one key matches is also their index order.
+pub(crate) type WriteSet = BTreeMap<(usize, u64), BTreeMap<usize, i32>>;
+
 /// One open transaction's private state.
 #[derive(Debug)]
 struct ActiveTxn {
     /// Snapshot timestamp: the transaction sees commits `<= snap`.
     snap: u64,
-    /// Staged single-field writes: `(table, rid) -> col -> new value`.
-    /// BTreeMaps keep commit-time iteration deterministic.
-    writes: BTreeMap<(usize, u64), BTreeMap<usize, i32>>,
+    /// Staged single-field writes.
+    writes: WriteSet,
     /// Staged inserts, in statement order.
     inserts: Vec<(usize, Vec<i32>)>,
 }
@@ -175,14 +184,17 @@ pub struct TxnStats {
     /// Commits (explicit and implicit autocommit) that installed writes or
     /// were read-only successes.
     pub committed: u64,
-    /// Aborts, explicit or conflict-forced.
+    /// Aborts: explicit, conflict-forced, or a failed install — including a
+    /// failed autocommit mutation, whose implicit transaction aborts like a
+    /// failed [`Database::commit`].
     pub aborted: u64,
     /// First-committer-wins write conflicts detected at commit.
     pub conflicts: u64,
 }
 
-/// Per-database MVCC + WAL state. Lives on [`Database`]; all mutation paths
-/// (explicit transactions and autocommit) funnel through it.
+/// Per-database MVCC + WAL state. Lives on [`Database`]; every mutation
+/// (explicit transaction or autocommit) is logged, applied and sealed
+/// through one `install` path.
 #[derive(Debug, Default)]
 pub struct TxnState {
     /// Next transaction id to hand out.
@@ -207,6 +219,23 @@ pub struct TxnState {
     stats: TxnStats,
 }
 
+/// Reserves `bytes` at `*cursor` in a simulated region of `region_bytes`:
+/// wraps to offset 0 when the reservation would run past the region's end,
+/// then advances the cursor to the next 64-byte boundary. Returns the
+/// reserved offset.
+fn reserve(cursor: &mut u64, bytes: u32, region_bytes: u64) -> u64 {
+    let wraps = *cursor + bytes as u64 > region_bytes;
+    let off = if wraps { 0 } else { *cursor };
+    *cursor = (off + bytes as u64 + 63) & !63;
+    off
+}
+
+/// The refusal an aggregate gets inside a transaction: no aggregate path
+/// reads a snapshot.
+pub(crate) fn aggregate_in_txn() -> DbError {
+    DbError::PlanError("aggregate queries are not snapshot-aware; run them in autocommit".into())
+}
+
 /// Estimated on-log bytes of one record (what the simulated append stores).
 fn wal_record_bytes(rec: &WalRecord) -> u32 {
     match rec {
@@ -224,8 +253,7 @@ impl Database {
     pub fn begin(&mut self) -> TxnId {
         let blocks = Arc::clone(&self.profile.blocks);
         self.ctx.exec(&blocks.txn_begin_commit);
-        let id = self.txn.next_txn;
-        self.txn.next_txn += 1;
+        let id = self.fresh_txn_id();
         self.txn.active.insert(
             id,
             ActiveTxn {
@@ -239,15 +267,17 @@ impl Database {
     }
 
     /// Commits a transaction: validates the write set (first committer
-    /// wins), assigns the next commit timestamp, appends every op to the
-    /// WAL *before* touching heap/index bytes, installs the writes (pushing
-    /// superseded images onto version chains) and seals with a commit
-    /// record. Returns the commit timestamp.
+    /// wins), then installs it — every op appended to the WAL *before* any
+    /// heap/index byte changes, the writes applied (superseded images pushed
+    /// onto version chains), a commit record sealing them. Returns the
+    /// commit timestamp.
     ///
     /// On a write-write conflict the transaction is aborted (an abort
     /// record is logged, staged writes are discarded — nothing was applied)
     /// and [`DbError::TxnConflict`] names the first conflicting row; the
-    /// caller may retry on a fresh snapshot.
+    /// caller may retry on a fresh snapshot. An install that fails (arena
+    /// headroom, an injected fault) also aborts with an abort record and
+    /// leaves the heap as it was.
     pub fn commit(&mut self, txn: TxnId) -> DbResult<u64> {
         let at = self
             .txn
@@ -275,51 +305,7 @@ impl Database {
                 });
             }
         }
-        // Validate everything fallible about the staged inserts *before*
-        // applying anything, so the apply phase below cannot half-finish.
-        if let Err(e) = self.precheck_inserts(&at.inserts) {
-            self.txn.stats.aborted += 1;
-            self.wal_append(WalRecord::Abort { txn: txn.0 });
-            return Err(e);
-        }
-        let ts = self.txn.last_commit_ts + 1;
-        // Append-before-apply: every op is on the log before any byte moves.
-        for (&(ti, rid), cols) in &at.writes {
-            let table = self.tables[ti].name.clone();
-            for (&col, &new) in cols {
-                let old = self.heap_field_raw(ti, rid, col)?;
-                self.wal_append(WalRecord::Op {
-                    txn: txn.0,
-                    op: WalOp::Update {
-                        table: table.clone(),
-                        rid,
-                        col,
-                        old,
-                        new,
-                    },
-                });
-            }
-        }
-        for (ti, values) in &at.inserts {
-            self.wal_append(WalRecord::Op {
-                txn: txn.0,
-                op: WalOp::Insert {
-                    table: self.tables[*ti].name.clone(),
-                    values: values.clone(),
-                },
-            });
-        }
-        // Install.
-        for (&(ti, rid), cols) in &at.writes {
-            self.apply_update_committed(ti, rid, cols, ts)?;
-        }
-        for (ti, values) in &at.inserts {
-            self.apply_insert_committed(*ti, values, ts)?;
-        }
-        self.wal_append(WalRecord::Commit { txn: txn.0, ts });
-        self.txn.last_commit_ts = ts;
-        self.txn.stats.committed += 1;
-        Ok(ts)
+        self.install(txn.0, &at.writes, &at.inserts)
     }
 
     /// Aborts a transaction: staged writes are discarded (nothing was ever
@@ -359,9 +345,7 @@ impl Database {
                 delta,
             } => db.txn_update_add(txn, table, key_col, *key, set_col, *delta),
             Query::InsertRow { table, values } => db.txn_insert_row(txn, table, values.clone()),
-            Query::SelectAgg { .. } | Query::JoinAgg { .. } => Err(DbError::PlanError(
-                "aggregate queries are not snapshot-aware; run them in autocommit".into(),
-            )),
+            Query::SelectAgg { .. } | Query::JoinAgg { .. } => Err(aggregate_in_txn()),
         })
     }
 
@@ -697,11 +681,72 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Committed apply (shared by explicit commit and autocommit)
+    // Install (shared by explicit commit and autocommit)
     // ------------------------------------------------------------------
 
+    /// Hands out the next transaction id.
+    pub(crate) fn fresh_txn_id(&mut self) -> u64 {
+        self.txn.next_txn += 1;
+        self.txn.next_txn - 1
+    }
+
+    /// The one code path that logs, applies and seals transaction `txn`:
+    /// prechecks the inserts, appends a [`WalRecord::Op`] for every write
+    /// and then every insert *before* any byte moves, applies them at the
+    /// next commit timestamp and seals with one [`WalRecord::Commit`].
+    /// Any error instead closes `txn` with one [`WalRecord::Abort`] and
+    /// counts it aborted. Returns the commit timestamp.
+    pub(crate) fn install(
+        &mut self,
+        txn: u64,
+        writes: &WriteSet,
+        inserts: &[(usize, Vec<i32>)],
+    ) -> DbResult<u64> {
+        let ts = self.txn.last_commit_ts + 1;
+        let installed = (|| -> DbResult<()> {
+            // Everything fallible about the inserts is checked before
+            // anything applies, so the apply phase cannot half-finish.
+            self.precheck_inserts(inserts)?;
+            for (&(ti, rid), cols) in writes {
+                for (&col, &new) in cols {
+                    let old = self.heap_field_raw(ti, rid, col)?;
+                    let table = self.tables[ti].name.clone();
+                    let op = WalOp::Update {
+                        table,
+                        rid,
+                        col,
+                        old,
+                        new,
+                    };
+                    self.wal_append(WalRecord::Op { txn, op });
+                }
+            }
+            for (ti, values) in inserts {
+                let (table, values) = (self.tables[*ti].name.clone(), values.clone());
+                let op = WalOp::Insert { table, values };
+                self.wal_append(WalRecord::Op { txn, op });
+            }
+            for (&(ti, rid), cols) in writes {
+                self.apply_update_committed(ti, rid, cols, ts)?;
+            }
+            for (ti, values) in inserts {
+                self.apply_insert_committed(*ti, values, ts)?;
+            }
+            Ok(())
+        })();
+        if let Err(e) = installed {
+            self.wal_append(WalRecord::Abort { txn });
+            self.txn.stats.aborted += 1;
+            return Err(e);
+        }
+        self.wal_append(WalRecord::Commit { txn, ts });
+        self.txn.last_commit_ts = ts;
+        self.txn.stats.committed += 1;
+        Ok(ts)
+    }
+
     /// Raw (uninstrumented) read of one heap field — the WAL's pre-image
-    /// source at commit time.
+    /// source at install time.
     fn heap_field_raw(&self, ti: usize, rid_packed: u64, col: usize) -> DbResult<i32> {
         let rid = Rid::unpack(rid_packed);
         let page = self.tables[ti].heap.page_addr(rid.page)?;
@@ -713,16 +758,12 @@ impl Database {
 
     /// Appends one record to the WAL, charging the log-serialize path and a
     /// store burst in the simulated log region.
-    pub(crate) fn wal_append(&mut self, rec: WalRecord) {
+    fn wal_append(&mut self, rec: WalRecord) {
         let blocks = Arc::clone(&self.profile.blocks);
         self.ctx.exec(&blocks.wal_append);
         let bytes = wal_record_bytes(&rec);
-        let mut off = self.txn.wal.cursor;
-        if off + bytes as u64 > WAL_REGION_BYTES {
-            off = 0;
-        }
+        let off = reserve(&mut self.txn.wal.cursor, bytes, WAL_REGION_BYTES);
         self.ctx.store_run(WAL_REGION + off, bytes, MemDep::Demand);
-        self.txn.wal.cursor = (off + bytes as u64 + 63) & !63;
         self.txn.wal.records.push(rec);
     }
 
@@ -730,7 +771,7 @@ impl Database {
     /// image onto its version chain (a store burst in the simulated version
     /// region), overwrites the heap fields instrumented, and advances the
     /// row's last-writer timestamp.
-    pub(crate) fn apply_update_committed(
+    fn apply_update_committed(
         &mut self,
         ti: usize,
         rid_packed: u64,
@@ -757,13 +798,9 @@ impl Database {
             .unwrap_or(0);
         // Charge the image copy into the version region.
         let bytes = (arity * 4) as u32 + 16;
-        let mut off = self.txn.version_cursor;
-        if off + bytes as u64 > VERSION_REGION_BYTES {
-            off = 0;
-        }
+        let off = reserve(&mut self.txn.version_cursor, bytes, VERSION_REGION_BYTES);
         let sim_addr = VERSION_REGION + off;
         self.ctx.store_run(sim_addr, bytes, MemDep::Demand);
-        self.txn.version_cursor = (off + bytes as u64 + 63) & !63;
         self.txn
             .chains
             .entry((ti, rid_packed))
@@ -782,24 +819,18 @@ impl Database {
     }
 
     /// Validates everything fallible about a batch of staged inserts before
-    /// any of them applies: arity, the fault-injection seam each index
-    /// allocation would cross, and arena headroom for the worst-case page
-    /// and node allocations. After this passes, the apply phase cannot fail
-    /// halfway — the all-or-nothing guarantee for multi-insert commits.
-    pub(crate) fn precheck_inserts(&mut self, inserts: &[(usize, Vec<i32>)]) -> DbResult<()> {
+    /// any of them applies (arity was checked when each was staged): the
+    /// fault-injection seam each index allocation would cross, and arena
+    /// headroom for the worst-case page and node allocations. After this
+    /// passes, the apply phase cannot fail halfway — the all-or-nothing
+    /// guarantee for multi-insert commits.
+    fn precheck_inserts(&mut self, inserts: &[(usize, Vec<i32>)]) -> DbResult<()> {
         if inserts.is_empty() {
             return Ok(());
         }
         let mut new_pages_per_table: HashMap<usize, u64> = HashMap::new();
         let mut n_per_table: HashMap<usize, u64> = HashMap::new();
-        for (ti, values) in inserts {
-            let arity = self.tables[*ti].schema.arity();
-            if values.len() != arity {
-                return Err(DbError::ArityMismatch {
-                    expected: arity,
-                    got: values.len(),
-                });
-            }
+        for (ti, _) in inserts {
             let t = &self.tables[*ti];
             let n_before = t.heap.n_records + n_per_table.get(ti).copied().unwrap_or(0);
             if n_before.is_multiple_of(t.heap.page_cap as u64) {
@@ -825,9 +856,6 @@ impl Database {
         for i in 0..self.indexes.len() {
             let ti = self.indexes[i].table;
             let n = n_per_table.get(&ti).copied().unwrap_or(0);
-            if n == 0 {
-                continue;
-            }
             for _ in 0..n {
                 if self.ctx.fault.should_fault(FaultSite::ArenaAlloc) {
                     return Err(DbError::ArenaExhausted {
@@ -855,12 +883,7 @@ impl Database {
     /// during index maintenance, the heap append is undone
     /// ([`crate::heap::HeapFile::unappend`]) so no dangling un-indexed
     /// record survives — the torn-write window this module closes.
-    pub(crate) fn apply_insert_committed(
-        &mut self,
-        ti: usize,
-        values: &[i32],
-        ts: u64,
-    ) -> DbResult<Rid> {
+    fn apply_insert_committed(&mut self, ti: usize, values: &[i32], ts: u64) -> DbResult<()> {
         let blocks = Arc::clone(&self.profile.blocks);
         let arity = self.tables[ti].schema.arity();
         let mut buf = Vec::with_capacity(arity * 4);
@@ -895,7 +918,7 @@ impl Database {
         }
         self.txn.created.insert((ti, rid.pack()), ts);
         self.txn.last_writer.insert((ti, rid.pack()), ts);
-        Ok(rid)
+        Ok(())
     }
 
     fn maintain_indexes_for_insert(
@@ -926,72 +949,5 @@ impl Database {
             self.ctx.store_touch(leaf + 24, 12 * 32, MemDep::Demand);
         }
         Ok(())
-    }
-
-    /// Installs a successful autocommit `update_add` as an implicit
-    /// single-statement transaction: WAL op records, version pushes,
-    /// instrumented heap stores, commit record. The conflict check is
-    /// trivially satisfied (autocommit reads and writes at "now").
-    pub(crate) fn autocommit_apply_update(
-        &mut self,
-        ti: usize,
-        set_col: usize,
-        updates: &[(u64, i32, i32)],
-    ) -> DbResult<()> {
-        let id = self.txn.next_txn;
-        self.txn.next_txn += 1;
-        let ts = self.txn.last_commit_ts + 1;
-        let table = self.tables[ti].name.clone();
-        for &(rid, old, new) in updates {
-            self.wal_append(WalRecord::Op {
-                txn: id,
-                op: WalOp::Update {
-                    table: table.clone(),
-                    rid,
-                    col: set_col,
-                    old,
-                    new,
-                },
-            });
-        }
-        for &(rid, _, new) in updates {
-            let cols = BTreeMap::from([(set_col, new)]);
-            self.apply_update_committed(ti, rid, &cols, ts)?;
-        }
-        self.wal_append(WalRecord::Commit { txn: id, ts });
-        self.txn.last_commit_ts = ts;
-        self.txn.stats.committed += 1;
-        Ok(())
-    }
-
-    /// Runs a single-row autocommit insert as an implicit transaction:
-    /// pre-validation, WAL op, all-or-nothing apply, commit record.
-    pub(crate) fn autocommit_insert(&mut self, ti: usize, values: Vec<i32>) -> DbResult<Rid> {
-        let staged = [(ti, values)];
-        self.precheck_inserts(&staged)?;
-        let [(ti, values)] = staged;
-        let id = self.txn.next_txn;
-        self.txn.next_txn += 1;
-        let ts = self.txn.last_commit_ts + 1;
-        self.wal_append(WalRecord::Op {
-            txn: id,
-            op: WalOp::Insert {
-                table: self.tables[ti].name.clone(),
-                values: values.clone(),
-            },
-        });
-        match self.apply_insert_committed(ti, &values, ts) {
-            Ok(rid) => {
-                self.wal_append(WalRecord::Commit { txn: id, ts });
-                self.txn.last_commit_ts = ts;
-                self.txn.stats.committed += 1;
-                Ok(rid)
-            }
-            Err(e) => {
-                self.wal_append(WalRecord::Abort { txn: id });
-                self.txn.stats.aborted += 1;
-                Err(e)
-            }
-        }
     }
 }

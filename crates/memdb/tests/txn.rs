@@ -258,6 +258,103 @@ fn session_transactions_route_sql_statements() {
     assert!(sess.commit().is_err(), "double commit must be refused");
 }
 
+#[test]
+fn aggregates_inside_a_transaction_are_refused() {
+    let rows = rows_for(100, 10);
+    let db = build_db_with_indexes(
+        SystemId::C,
+        PageLayout::Nsm,
+        &[("R", &rows)],
+        &[("R", "a1")],
+    );
+    let mut sess = Session::open(db);
+    sess.begin().unwrap();
+    sess.sql("UPDATE R SET a3 = a3 + 5 WHERE a1 = 5").unwrap();
+    // No aggregate path sees the snapshot or the staged write: answering
+    // would report a sum the transaction never saw.
+    assert!(matches!(
+        sess.sql("SELECT SUM(a3) FROM R"),
+        Err(DbError::PlanError(_))
+    ));
+    assert!(matches!(
+        sess.sql_grouped("SELECT a2, SUM(a3) FROM R GROUP BY a2"),
+        Err(DbError::PlanError(_))
+    ));
+    sess.commit().unwrap();
+    assert_eq!(
+        sess.sql("SELECT a3 FROM R WHERE a1 = 5").unwrap().value,
+        rows[5][2] as f64 + 5.0
+    );
+    let sum: i64 = rows.iter().map(|r| r[2] as i64).sum::<i64>() + 5;
+    assert_eq!(sess.sql("SELECT SUM(a3) FROM R").unwrap().value, sum as f64);
+}
+
+/// A failed autocommit insert aborts its implicit transaction the way a
+/// failed `COMMIT` does: one abort record, one count in `aborted`, and no
+/// byte of the heap changed.
+#[test]
+fn faulted_autocommit_inserts_abort_like_a_failed_commit() {
+    for seed in [1u64, 2, 3] {
+        let (mut db, _) = db_with_key_index(300, 16);
+        let records = db.wal().records().len();
+        let aborted = db.txn_stats().aborted;
+        db.set_fault_plan(
+            FaultPlan::disabled()
+                .with_seed(seed)
+                .with_rate(FaultSite::ArenaAlloc, 0.5),
+        );
+        let inserted: Vec<Vec<i32>> = (0..40).map(|i| vec![50_000 + i, i, 1, 2, 3]).collect();
+        let mut kept = Vec::new();
+        let mut failed = 0u64;
+        for row in &inserted {
+            match db.insert_row("R", row.clone()) {
+                Ok(_) => kept.push(row.clone()),
+                Err(DbError::ArenaExhausted { .. }) => failed += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        db.set_fault_plan(FaultPlan::disabled());
+        assert!(
+            failed > 0 && !kept.is_empty(),
+            "seed {seed}: {failed} failed"
+        );
+
+        let new = &db.wal().records()[records..];
+        let aborts = new
+            .iter()
+            .filter(|r| matches!(r, WalRecord::Abort { .. }))
+            .count() as u64;
+        assert_eq!(db.txn_stats().aborted - aborted, failed, "seed {seed}");
+        assert_eq!(aborts, failed, "seed {seed}");
+        // Every transaction that logged an op is closed exactly once.
+        let mut closes: std::collections::BTreeMap<u64, usize> = Default::default();
+        for r in new {
+            match r {
+                WalRecord::Op { txn, .. } => {
+                    closes.entry(*txn).or_insert(0);
+                }
+                WalRecord::Commit { txn, .. } | WalRecord::Abort { txn } => {
+                    *closes.entry(*txn).or_insert(0) += 1;
+                }
+            }
+        }
+        assert!(closes.values().all(|&n| n == 1), "seed {seed}: {closes:?}");
+
+        // The failed inserts changed nothing: the heap is what inserting
+        // only the kept rows builds, and what replaying the log rebuilds.
+        let (mut clean, _) = db_with_key_index(300, 16);
+        for row in kept {
+            clean.insert_row("R", row).unwrap();
+        }
+        assert_eq!(clean.state_digest(), db.state_digest(), "seed {seed}");
+        let (mut fresh, _) = db_with_key_index(300, 16);
+        fresh
+            .replay_wal(db.wal().records(), db.wal().commit_count())
+            .unwrap();
+        assert_eq!(fresh.state_digest(), db.state_digest(), "seed {seed}");
+    }
+}
+
 /// Builds a database, commits `k` transactions (each a mix of updates and
 /// inserts), and returns the digests after load and after every commit,
 /// plus the final WAL.

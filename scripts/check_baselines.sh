@@ -5,8 +5,11 @@
 # BENCH_*.json there and checks every benchmark's claims; strips every
 # host-clock pair -- `"host_<name>": <number>`, the only fields that may differ
 # between two runs of a deterministic simulator -- from both sides, and diffs
-# against the committed files. Exits non-zero, naming file and line, if any
-# simulated field moved, a committed baseline is missing or a claim failed.
+# against the committed files. Then runs the `sim_goldens` test, which pins
+# the two write/aggregate paths no BENCH_*.json runs: grouped aggregates and
+# autocommit mutations. Exits non-zero, naming file and line, if any
+# simulated field moved, a committed baseline is missing, a claim failed or a
+# golden moved.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 unset WDTG_SCALE # the committed baselines are dev scale
@@ -50,7 +53,13 @@ for name in $names; do
     fi
 done
 
+if ! cargo test --release -q --test sim_goldens; then
+    echo "sim_goldens failed (a pinned grid, grouped or autocommit counter moved)"
+    status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-    echo "all eight baselines regenerate bit-identically (host_* fields aside)"
+    echo "all eight baselines regenerate bit-identically (host_* fields aside)" \
+        "and every sim_goldens table holds"
 fi
 exit "$status"

@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
+use wdtg_core::figures::{ScalingCell, ScalingComparison};
 use wdtg_core::methodology::{build_db, build_db_with_layout, measure_query, Methodology};
-use wdtg_memdb::{EngineProfile, PageLayout, SystemId};
+use wdtg_memdb::{EngineProfile, ExecMode, PageLayout, SystemId};
 use wdtg_sim::{CpuConfig, Event, Mode, Snapshot};
 use wdtg_workloads::{micro, MicroQuery, Scale};
 
@@ -53,26 +54,30 @@ fn all_three_queries_run_on_all_systems_deterministically() {
     }
 }
 
+/// System C's SRS cell over `shards` hash-partitioned cores, in row mode
+/// on NSM pages: its breakdown sums the per-core work.
+fn sharded_cell(shards: usize) -> ScalingCell {
+    ScalingComparison::measure_cell(
+        SystemId::C,
+        Scale::tiny(),
+        MicroQuery::SequentialRangeSelection,
+        &CpuConfig::pentium_ii_xeon(),
+        shards,
+        ExecMode::Row,
+        PageLayout::Nsm,
+    )
+    .expect("sharded measurement runs")
+}
+
 #[test]
 fn sharded_measurements_are_cycle_exact() {
     // The sharded executor must clear the same determinism bar as the
     // single core: identical builds, identical merged measurements. Shards
     // run sequentially (no OS threads), so the only way this fails is a
     // nondeterministic router or merge.
-    for shards in [2u32, 4] {
-        let run = || {
-            measure_query(
-                SystemId::C,
-                MicroQuery::SequentialRangeSelection,
-                0.1,
-                Scale::tiny(),
-                &CpuConfig::pentium_ii_xeon(),
-                &Methodology::default().with_shards(shards as usize),
-            )
-            .expect("sharded measurement runs")
-        };
-        let a = run();
-        let b = run();
+    for shards in [2, 4] {
+        let a = sharded_cell(shards);
+        let b = sharded_cell(shards);
         assert_eq!(a.truth.cycles, b.truth.cycles, "{shards} shards");
         assert_eq!(a.truth.inst_retired, b.truth.inst_retired);
         assert_eq!(a.rows, b.rows);
@@ -83,19 +88,8 @@ fn sharded_measurements_are_cycle_exact() {
 
 #[test]
 fn sharded_answers_match_the_single_core_measurement() {
-    let m = |shards: usize| {
-        measure_query(
-            SystemId::C,
-            MicroQuery::SequentialRangeSelection,
-            0.1,
-            Scale::tiny(),
-            &CpuConfig::pentium_ii_xeon(),
-            &Methodology::default().with_shards(shards),
-        )
-        .expect("measurement runs")
-    };
-    let one = m(1);
-    let four = m(4);
+    let one = sharded_cell(1);
+    let four = sharded_cell(4);
     assert_eq!(one.rows, four.rows, "sharding must not change the answer");
     // Total work across 4 cores stays close to the single core's (each
     // extra core pays only its own per-query setup).
