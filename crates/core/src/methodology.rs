@@ -7,12 +7,10 @@
 //! events. … the experiments were repeated several times and the final sets
 //! of numbers exhibit a standard deviation of less than 5 percent."
 //!
-//! The simulator is deterministic, so one warm-up run and a unit of one
-//! query stand in for the paper's warm-up runs and unit of 10: the unit
-//! existed to amortize client/server startup and measurement noise, and a
-//! repeated run here retires the same instructions at the same cost.
-//! [`Methodology::repetitions`] still repeats the measured unit, to check
-//! §4.3's < 5 % stability bar.
+//! The simulator is deterministic and has no client/server startup to
+//! amortize, so one warm-up run and a one-query unit stand in for the
+//! paper's warm-up runs and unit of 10. [`Methodology::repetitions`] still
+//! repeats the measured unit, to check §4.3's < 5 % stability bar.
 
 use wdtg_emon::{measure_breakdown, ModeSel, Penalties, Target};
 use wdtg_memdb::exec::PhysicalConfig;
@@ -325,7 +323,7 @@ pub fn measure_query_with(
 }
 
 /// Divides every component of a measured breakdown by `n` executions,
-/// normalizing a unit/repetition delta to a single query.
+/// normalizing the measured repetitions' delta to a single query.
 fn normalize_per_query(mut t: TimeBreakdown, n: f64) -> TimeBreakdown {
     t.tc /= n;
     t.tl1d /= n;
