@@ -83,20 +83,29 @@ fn bench_cpu(c: &mut Criterion) {
 
 /// Instruction fetch, the simulator's own top line (`Cpu::ifetch` under
 /// `exec_block`): a block that stays L1I-resident, one whose five fetch
-/// phases overflow the 16 KB L1I, and one that thrashes it on every call
-/// (the transaction-begin path's size). One element is one fetched line, so
-/// host ns/line is 1e9 / the printed rate.
+/// phases overflow the 16 KB L1I, one that thrashes it on every call (the
+/// transaction-begin path's size), and a cycle of two 16 KB blocks that each
+/// fit the L1I but together overflow it, so every line misses the L1I and
+/// hits L2 — below the known-miss lane's 1 024-line threshold. One element
+/// is one fetched line, so host ns/line is 1e9 / the printed rate.
 fn bench_ifetch(c: &mut Criterion) {
     let mut g = c.benchmark_group("sim/ifetch");
-    for (id, path_bytes) in [
-        ("resident_2800B", 2800u32),
-        ("partial_12KB", 12 << 10),
-        ("thrashing_190KB", 190_000),
+    for (id, path_bytes, count) in [
+        ("resident_2800B", 2800u32, 1u64),
+        ("partial_12KB", 12 << 10, 1),
+        ("thrashing_190KB", 190_000, 1),
+        ("overflow_2x16KB", 16 << 10, 2),
     ] {
-        let block = CodeBlock::builder("bench", path_bytes)
-            .private(segment::PRIVATE, 4096)
-            .at(segment::CODE);
-        let lines = block.lines(32) as u64;
+        // 64 KB apart: more than one block's extent, and a multiple of the
+        // L1I's way size, so the blocks share sets.
+        let blocks: Vec<CodeBlock> = (0..count)
+            .map(|i| {
+                CodeBlock::builder("bench", path_bytes)
+                    .private(segment::PRIVATE, 4096)
+                    .at(segment::CODE + i * (64 << 10))
+            })
+            .collect();
+        let lines = blocks[0].lines(32) as u64 * count;
         let calls = (8192 / lines).max(1);
         g.throughput(Throughput::Elements(lines * calls));
         g.bench_function(id, |b| {
@@ -104,7 +113,9 @@ fn bench_ifetch(c: &mut Criterion) {
                 Cpu::new(CpuConfig::pentium_ii_xeon().with_interrupts(InterruptCfg::disabled()));
             b.iter(|| {
                 for _ in 0..calls {
-                    cpu.exec_block(&block);
+                    for block in &blocks {
+                        cpu.exec_block(block);
+                    }
                 }
                 cpu.cycles()
             })

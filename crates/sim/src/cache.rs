@@ -21,10 +21,12 @@
 //! * Misses allocate (write-allocate) into the first invalid way, else evict
 //!   the true-LRU way; evicting a dirty line counts one writeback
 //!   (write-back policy, Table 4.1).
-//! * [`Cache::access_run`] is the contiguous-span entry point used by
-//!   batched scans: residency, LRU state and statistics end up identical to
-//!   per-line [`Cache::access_line`] calls — a property-tested invariant —
-//!   only the per-call bookkeeping is amortized.
+//! * [`Cache::access_run`] (a span, collecting its misses) and
+//!   [`Cache::hit_run`] (any sequence of lines, stopping at a miss) are the
+//!   multi-line entry points used by batched scans and instruction fetch:
+//!   residency, LRU state and statistics end up identical to per-line
+//!   [`Cache::access_line`] calls — a property-tested invariant — only the
+//!   per-call bookkeeping is amortized.
 //!
 //! # Storage
 //!
@@ -36,15 +38,23 @@
 //! per-cache clock when the way was last used, with the dirty bit in bit 0:
 //! a hit is a tag scan plus one store, the LRU way is the valid way with the
 //! smallest stamp, and a touch rewrites no other way's state. Every demand
-//! entry point — single line, contiguous run, the instruction-fetch walk in
-//! [`crate::cpu::Cpu`] — goes through the one loop in `Cache::hit_run`, with
-//! one exception that reads and writes no set at all: `Cache::miss_run`
-//! accounts for a stretch of sequential lines the caller has proved must
-//! miss *and* be evicted again before anything can observe them, by
-//! advancing `clock` and the statistics alone.
+//! access goes through one set lookup, `Cache::touch`, which has a 4-way
+//! instance of known record length beside the generic one; every
+//! multi-line entry point goes through one loop, `Cache::walk`, which keeps
+//! the clock and the statistics in locals for the whole walk and asks its
+//! caller after each miss whether to go on — [`Cache::access_run`] collects
+//! the misses and never stops, [`Cache::hit_run`] stops at the first. That
+//! is what lets [`crate::cpu::Cpu`] fetch in two passes: a whole fetch
+//! window through the L1I, then its misses through L2 as one list. One
+//! exception reads and writes no set at all: `Cache::miss_run` accounts for
+//! a stretch of sequential lines the caller has proved must miss *and* be
+//! evicted again before anything can observe them, by advancing `clock`
+//! and the statistics alone.
 //!
 //! Stall *cycles* for misses are charged by the [`crate::cpu::Cpu`] into the
 //! [`crate::stalls::StallLedger`]; this module only decides hit or miss.
+
+use std::ops::ControlFlow;
 
 use crate::config::CacheGeom;
 
@@ -198,49 +208,117 @@ impl Cache {
     /// Same as [`Cache::access`] but takes a pre-computed line address.
     #[inline]
     pub fn access_line(&mut self, line: u64, write: bool) -> CacheAccess {
-        self.hit_run(line, line + 1, write)
-            .map_or(HIT, |(_, miss)| miss)
+        let stamp = self.clock | write as u64;
+        self.clock += 2;
+        self.accesses += 1;
+        let Some((evicted, dirty_writeback)) = self.touch(line, stamp) else {
+            return HIT;
+        };
+        self.misses += 1;
+        self.writebacks += dirty_writeback as u64;
+        CacheAccess {
+            hit: false,
+            evicted,
+            dirty_writeback,
+        }
     }
 
-    /// The one line-walking loop: demand-accesses the sequential lines
-    /// `first_line..end_line` for as long as they hit, re-stamping each (and
-    /// marking it dirty on a `write`). At the first miss the line is
-    /// allocated and returned with the outcome, so the caller can service
-    /// the miss — in whatever order its own accounting needs — before
-    /// resuming at `line + 1`; `None` means the rest of the run hit. Counts
-    /// one access per line consumed and one miss per `Some`.
-    #[inline]
-    pub(crate) fn hit_run(
+    /// The set lookup of one demand access: re-stamps a resident `line`
+    /// with `stamp`, keeping its dirty bit, and returns `None`; else fills
+    /// it ([`fill`]) and returns the eviction.
+    ///
+    /// The paper's geometry is 4-way at every level, so that associativity
+    /// gets its own instance of the lookup, in which the record's length is
+    /// a constant: walks over 16 KB-plus fetch windows took about 1.4× the
+    /// host time per line with the generic instance alone.
+    #[inline(always)]
+    fn touch(&mut self, line: u64, stamp: u64) -> Option<(Option<u64>, bool)> {
+        if self.assoc == 4 {
+            self.touch_ways::<4>(line, stamp)
+        } else {
+            self.touch_ways::<0>(line, stamp)
+        }
+    }
+
+    /// [`Cache::touch`] at a fixed associativity `WAYS`, or at `self.assoc`
+    /// when `WAYS` is 0.
+    #[inline(always)]
+    fn touch_ways<const WAYS: usize>(
         &mut self,
-        first_line: u64,
-        end_line: u64,
-        write: bool,
-    ) -> Option<(u64, CacheAccess)> {
-        let assoc = self.assoc;
-        let mut line = first_line;
-        while line < end_line {
-            let stamp = self.clock | write as u64;
-            self.clock += 2;
-            let record = self.record_of(line);
-            let (tags, stamps) = self.words[record..][..2 * assoc].split_at_mut(assoc);
-            if let Some(way) = tags.iter().position(|&tag| tag == line) {
+        line: u64,
+        stamp: u64,
+    ) -> Option<(Option<u64>, bool)> {
+        let assoc = if WAYS == 0 { self.assoc } else { WAYS };
+        let record = self.origin + (line & self.set_mask) as usize * 2 * assoc;
+        let (tags, stamps) = self.words[record..][..2 * assoc].split_at_mut(assoc);
+        match tags.iter().position(|&tag| tag == line) {
+            Some(way) => {
                 stamps[way] = stamp | (stamps[way] & DIRTY);
-                line += 1;
-                continue;
+                None
             }
-            self.accesses += line + 1 - first_line;
-            self.misses += 1;
-            let (evicted, dirty_writeback) = fill(tags, stamps, line, stamp);
-            self.writebacks += dirty_writeback as u64;
-            let miss = CacheAccess {
+            None => Some(fill(tags, stamps, line, stamp)),
+        }
+    }
+
+    /// Demand-accesses the lines `lines` yields for as long as they hit,
+    /// re-stamping each (and marking it dirty on a `write`). At the first
+    /// miss the line is allocated and returned with the outcome, and the
+    /// walk stops there, so the caller can service the miss — in whatever
+    /// order its own accounting needs — before it resumes with the rest of
+    /// `lines`; `None` means every line hit. Also returns the hits consumed
+    /// before the miss. The callers' sequences ascend: a span of code or
+    /// data, or the lines an inner level missed.
+    #[inline]
+    pub fn hit_run(
+        &mut self,
+        lines: &mut impl Iterator<Item = u64>,
+        write: bool,
+    ) -> (u64, Option<(u64, CacheAccess)>) {
+        let mut miss = None;
+        let accessed = self.walk(lines, write, |line, outcome| {
+            miss = Some((line, outcome));
+            ControlFlow::Break(())
+        });
+        (accessed - miss.is_some() as u64, miss)
+    }
+
+    /// The one line-walking loop, behind every demand entry point but the
+    /// single line: accesses the lines `lines` yields, in order, and after
+    /// each miss asks `on_miss` — given the line and the outcome — whether
+    /// to go on. Returns the lines accessed. The clock and the statistics
+    /// live in locals for the length of the walk.
+    #[inline(always)]
+    fn walk(
+        &mut self,
+        lines: &mut impl Iterator<Item = u64>,
+        write: bool,
+        mut on_miss: impl FnMut(u64, CacheAccess) -> ControlFlow<()>,
+    ) -> u64 {
+        let mut clock = self.clock;
+        let (mut accessed, mut misses, mut writebacks) = (0, 0, 0);
+        for line in lines {
+            let stamp = clock | write as u64;
+            clock += 2;
+            accessed += 1;
+            let Some((evicted, dirty_writeback)) = self.touch(line, stamp) else {
+                continue;
+            };
+            misses += 1;
+            writebacks += dirty_writeback as u64;
+            let outcome = CacheAccess {
                 hit: false,
                 evicted,
                 dirty_writeback,
             };
-            return Some((line, miss));
+            if on_miss(line, outcome).is_break() {
+                break;
+            }
         }
-        self.accesses += line - first_line;
-        None
+        self.clock = clock;
+        self.accesses += accessed;
+        self.misses += misses;
+        self.writebacks += writebacks;
+        accessed
     }
 
     /// Accounts for `lines` demand accesses that all miss, without touching a
@@ -256,7 +334,7 @@ impl Cache {
     /// lines of the run miss into its set and each evicts an older stamp
     /// than any of theirs. So for a run longer than twice the capacity, the
     /// lines between the first and the last `capacity_lines()` may be
-    /// skipped here and the two ends walked through `hit_run`: the last
+    /// skipped here and the two ends walked through `access_run`: the last
     /// stretch finds other tags in the ways than the real walk would, but
     /// misses on every line either way and leaves each set holding the same
     /// lines under the same stamps — all that a later access can tell.
@@ -277,8 +355,9 @@ impl Cache {
     /// addresses starting at `first_line`. Behaviour (residency, LRU state,
     /// statistics, writeback counting) is identical to calling
     /// [`Cache::access_line`] once per line; the saving is bookkeeping, not
-    /// semantics. Missed lines are appended to `missed` in access order so
-    /// an outer level can service them.
+    /// semantics. Missed lines are appended to `missed` in access order, and
+    /// the walk never stops for them, so an outer level can service them
+    /// afterwards as one list.
     pub fn access_run(
         &mut self,
         first_line: u64,
@@ -286,17 +365,17 @@ impl Cache {
         write: bool,
         missed: &mut Vec<u64>,
     ) -> RunStats {
-        let end_line = first_line + lines;
-        let mut stats = RunStats::default();
-        let mut next = first_line;
-        while let Some((line, miss)) = self.hit_run(next, end_line, write) {
+        let (misses, writebacks) = (self.misses, self.writebacks);
+        self.walk(&mut (first_line..first_line + lines), write, |line, _| {
             missed.push(line);
-            stats.misses += 1;
-            stats.dirty_writebacks += miss.dirty_writeback as u64;
-            next = line + 1;
+            ControlFlow::Continue(())
+        });
+        let misses = self.misses - misses;
+        RunStats {
+            hits: lines - misses,
+            misses,
+            dirty_writebacks: self.writebacks - writebacks,
         }
-        stats.hits = lines - stats.misses;
-        stats
     }
 
     /// Returns whether the line containing `addr` is resident, without
@@ -392,6 +471,28 @@ impl Cache {
         self.clock = 0;
         self.reset_stats();
     }
+
+    /// Every set's resident lines with their dirty bits, most recent first:
+    /// all that a later access can tell of the cache's state.
+    #[cfg(test)]
+    pub(crate) fn contents(&self) -> Vec<Vec<(u64, bool)>> {
+        (0..=self.set_mask)
+            .map(|set| {
+                let record = &self.words[self.record_of(set)..][..2 * self.assoc];
+                let (tags, stamps) = record.split_at(self.assoc);
+                let mut ways: Vec<(u64, u64)> = tags
+                    .iter()
+                    .zip(stamps)
+                    .filter(|(&tag, _)| tag != INVALID)
+                    .map(|(&tag, &stamp)| (stamp, tag))
+                    .collect();
+                ways.sort_unstable_by(|a, b| b.cmp(a));
+                ways.iter()
+                    .map(|&(stamp, tag)| (tag, stamp & DIRTY != 0))
+                    .collect()
+            })
+            .collect()
+    }
 }
 
 /// Miss path of one set: puts `line` (stamped `stamp`) into the first invalid
@@ -430,25 +531,6 @@ mod tests {
             line_bytes: 32,
             assoc: 2,
         })
-    }
-
-    /// Every set's resident lines with their dirty bits, most recent first.
-    fn contents(c: &Cache) -> Vec<Vec<(u64, bool)>> {
-        (0..=c.set_mask)
-            .map(|set| {
-                let (tags, stamps) = c.words[c.record_of(set)..][..2 * c.assoc].split_at(c.assoc);
-                let mut ways: Vec<(u64, u64)> = tags
-                    .iter()
-                    .zip(stamps)
-                    .filter(|(&tag, _)| tag != INVALID)
-                    .map(|(&tag, &stamp)| (stamp, tag))
-                    .collect();
-                ways.sort_unstable_by(|a, b| b.cmp(a));
-                ways.iter()
-                    .map(|&(stamp, tag)| (tag, stamp & DIRTY != 0))
-                    .collect()
-            })
-            .collect()
     }
 
     #[test]
@@ -551,7 +633,7 @@ mod tests {
         assert_eq!(run.accesses(), per_line.accesses());
         assert_eq!(run.misses(), per_line.misses());
         assert_eq!(run.writebacks(), per_line.writebacks());
-        assert_eq!(contents(&run), contents(&per_line));
+        assert_eq!(run.contents(), per_line.contents());
     }
 
     #[test]
@@ -561,7 +643,7 @@ mod tests {
             c.access(addr, write);
         }
         let mut copy = c.clone();
-        assert_eq!(contents(&copy), contents(&c));
+        assert_eq!(copy.contents(), c.contents());
         assert_eq!((copy.accesses(), copy.misses()), (c.accesses(), c.misses()));
         // Both evict the same (dirty, LRU) line next.
         assert_eq!(copy.access(0x100, false), c.access(0x100, false));

@@ -459,28 +459,34 @@ impl Cpu {
     /// `run_lines`: sequential fetch-run length in lines (taken-branch
     /// spacing); the stream prefetcher can only hide misses inside a run.
     ///
-    /// Resident stretches are consumed by [`Cache::hit_run`]; each L1I miss
-    /// is serviced where it occurs, so everything a miss can change for the
-    /// lines after it — the stream-buffer fill of `line + 1`, an inclusive
-    /// L2's back-invalidations, a completed data prefetch landing in L2 —
-    /// is in place before the walk resumes. Integer event counts commute, so
-    /// the per-line and per-miss ones are added once per call.
+    /// **Two passes.** The whole window goes through the L1I first
+    /// ([`Cache::access_run`], which collects the misses), then its misses
+    /// go through L2 as one list ([`Cpu::l2_ifetch_fill`]). That reorders
+    /// L1I work against L2 work, and is exact when nothing on the L2 side
+    /// reads or writes the L1I: no stream-buffer fill can happen on this
+    /// fetch, and L2 is not inclusive (so it back-invalidates nothing).
+    /// Then each cache sees its own accesses in the original order, the
+    /// L1I charges nothing on a hit, and the cycle charges — floating-point
+    /// sums whose order is part of the simulated result — are made in the
+    /// order the per-line walk makes them. Under the stream buffer or an
+    /// inclusive L2 the walk instead stops at each L1I miss
+    /// ([`Cache::hit_run`]) and services it, stream-buffer fill included,
+    /// before it resumes. Integer event counts commute, so the per-line and
+    /// per-miss ones are added once per call.
     ///
-    /// Cycle charges are floating-point sums whose order is part of the
-    /// simulated result, and they are made in fetch order — but an L1I miss
-    /// that hits L2 is only *counted* (`owed`) until something reads the
-    /// clock or charges another component: a queued data prefetch to check
-    /// for completion, an L2 miss, the end of the walk. The owed stalls are
-    /// then paid at once by [`Cpu::charge_ifu_repeated`], which is exact.
+    /// An L1I miss that hits L2 is only *counted* (`owed`) until something
+    /// reads the clock or charges another component: a queued data
+    /// prefetch to check for completion, an L2 miss, the end of the fetch.
+    /// The owed stalls are then paid at once by
+    /// [`Cpu::charge_ifu_repeated`], which is exact.
     ///
-    /// **Known-miss lane.** With no stream buffer for this run and a
-    /// non-inclusive L2, nothing but the walk itself touches the L1I, and a
-    /// run longer than twice its capacity has a middle — everything but the
-    /// first and last `capacity` lines — where each line must miss and be
-    /// evicted again before the run ends ([`Cache::miss_run`] has the
-    /// argument). The middle is accounted in the L1I without visiting its
-    /// sets and goes straight to the L2 half of the miss, the same
-    /// [`Cpu::l2_ifetch_fill`] the walked ends use.
+    /// **Known-miss lane.** In the two-pass case a run longer than twice
+    /// the L1I's capacity has a middle — everything but the first and last
+    /// `capacity` lines — where each line must miss and be evicted again
+    /// before the run ends ([`Cache::miss_run`] has the argument). The
+    /// middle is accounted in the L1I without visiting its sets, and the L2
+    /// pass takes the head's misses, the middle as a range, then the
+    /// tail's misses.
     fn ifetch(&mut self, base: u64, bytes: u32, run_lines: u32) {
         #[cfg(test)]
         if self.per_line_ifetch {
@@ -498,22 +504,14 @@ impl Cpu {
         // the run, so branch-dense code (interpreters) defeats the
         // prefetcher — this couples T_L1I to branch behaviour (§5.3).
         let stream = self.cfg.pipe.ifetch_stream_buffer && run_lines >= 2;
-        let capacity = self.l1i.capacity_lines();
-        let known_misses =
-            !stream && !self.cfg.pipe.inclusive_l2 && end_line - first_line > 2 * capacity;
-        let mut misses = 0u64;
         let mut owed = 0u64;
-        let mut next = first_line;
-        let mut stop = if known_misses {
-            first_line + capacity
-        } else {
-            end_line
-        };
-        loop {
-            while let Some((line, _)) = self.l1i.hit_run(next, stop, false) {
-                next = line + 1;
+        let misses = if stream || self.cfg.pipe.inclusive_l2 {
+            let mut misses = 0u64;
+            let mut lines = first_line..end_line;
+            while let (_, Some((line, _))) = self.l1i.hit_run(&mut lines, false) {
                 misses += 1;
-                owed = self.l2_ifetch_fill(line, next, owed);
+                owed = self.l2_ifetch_fill(line..line + 1, owed);
+                let next = line + 1;
                 // `bytes` is a u32, so a position within the path fits one too.
                 if stream
                     && line < last_line
@@ -524,20 +522,37 @@ impl Cpu {
                     self.bump(Event::SimStreamBufHit, 1);
                 }
             }
-            if stop == end_line {
-                break;
+            misses
+        } else {
+            let capacity = self.l1i.capacity_lines();
+            let (middle, tail) = if end_line - first_line > 2 * capacity {
+                (first_line + capacity, end_line - capacity)
+            } else {
+                (end_line, end_line)
+            };
+            let mut missed = std::mem::take(&mut self.run_miss_buf);
+            missed.clear();
+            self.l1i
+                .access_run(first_line, middle - first_line, false, &mut missed);
+            let head = missed.len();
+            if tail > middle {
+                self.l1i.miss_run(tail - middle);
+                self.l1i
+                    .access_run(tail, end_line - tail, false, &mut missed);
+                #[cfg(test)]
+                {
+                    self.known_miss_runs += 1;
+                }
             }
-            let resume = end_line - capacity;
-            self.l1i.miss_run(resume - stop);
-            misses += resume - stop;
-            owed = self.l2_ifetch_fill(stop, resume, owed);
-            #[cfg(test)]
-            {
-                self.known_miss_runs += 1;
+            if !missed.is_empty() || tail > middle {
+                owed = self.l2_ifetch_fill(missed[..head].iter().copied(), owed);
+                owed = self.l2_ifetch_fill(middle..tail, owed);
+                owed = self.l2_ifetch_fill(missed[head..].iter().copied(), owed);
             }
-            next = resume;
-            stop = end_line;
-        }
+            let misses = missed.len() as u64 + (tail - middle);
+            self.run_miss_buf = missed;
+            misses
+        };
         self.charge_l1i_stalls(owed);
         if misses > 0 {
             self.bump(Event::IfuIfetchMiss, misses);
@@ -563,36 +578,43 @@ impl Cpu {
         self.charge_ifu_repeated(Component::Tl1i, self.cfg.pipe.l1_miss_penalty as f64, owed);
     }
 
-    /// The L2 half of L1I misses: services the sequential lines `first..end`,
-    /// every one of them missed in the L1I, from L2/memory. `owed` is the
-    /// caller's count of earlier misses whose L1I stall is not charged yet;
-    /// the new count comes back — one more per L2 hit, starting from zero
-    /// again once anything here had to see the clock or charge another
+    /// The L2 half of L1I misses: services `lines`, every one of them
+    /// missed in the L1I, from L2/memory, in order. `owed` is the caller's
+    /// count of earlier misses whose L1I stall is not charged yet; the new
+    /// count comes back — one more per L2 hit, starting from zero again
+    /// once anything here had to see the clock or charge another
     /// component, the owed stalls paid first. While data prefetches are
     /// queued that is every line, since a completed one must land in L2
-    /// before the next lookup; otherwise L2 hits are consumed as a run. The
-    /// request counters every miss bumps (`IFU_IFETCH_MISS`, `L2_IFETCH`,
-    /// `L2_RQSTS`, `L2_ADS`) are the caller's.
+    /// before the next lookup; otherwise L2 hits are consumed as one run
+    /// that stops only at an L2 miss. The request counters every miss bumps
+    /// (`IFU_IFETCH_MISS`, `L2_IFETCH`, `L2_RQSTS`, `L2_ADS`) are the
+    /// caller's.
     #[inline]
-    fn l2_ifetch_fill(&mut self, first: u64, end: u64, mut owed: u64) -> u64 {
-        let mut next = first;
-        while next < end {
-            let stop = if self.prefetch_q.is_empty() {
-                end
+    fn l2_ifetch_fill(&mut self, mut lines: impl Iterator<Item = u64>, mut owed: u64) -> u64 {
+        loop {
+            let l2acc = if self.prefetch_q.is_empty() {
+                let (hits, miss) = self.l2.hit_run(&mut lines, false);
+                owed += hits;
+                match miss {
+                    Some((_, l2acc)) => l2acc,
+                    None => return owed,
+                }
             } else {
+                let Some(line) = lines.next() else {
+                    return owed;
+                };
                 self.charge_l1i_stalls(owed);
                 owed = 0;
                 self.pop_completed_prefetches();
-                next + 1
+                let l2acc = self.l2.access_line(line, false);
+                if l2acc.hit {
+                    owed += 1;
+                    continue;
+                }
+                l2acc
             };
-            let Some((line, l2acc)) = self.l2.hit_run(next, stop, false) else {
-                owed += stop - next;
-                next = stop;
-                continue;
-            };
-            self.charge_l1i_stalls(owed + (line - next));
+            self.charge_l1i_stalls(owed);
             owed = 0;
-            next = line + 1;
             self.charge_ifu(Component::Tl2i, self.cfg.pipe.mem_latency as f64);
             self.bump(Event::SimL2IfetchMiss, 1);
             self.bump(Event::L2LinesIn, 1);
@@ -602,7 +624,6 @@ impl Cpu {
             self.bump(Event::BusTranBurst, 1);
             self.handle_l2_eviction(l2acc.evicted, l2acc.dirty_writeback);
         }
-        owed
     }
 
     /// The line-at-a-time walk that [`Cpu::ifetch`] replaced, kept as the
@@ -623,7 +644,7 @@ impl Cpu {
             self.bump(Event::L2Ifetch, 1);
             self.bump(Event::L2Rqsts, 1);
             self.bump(Event::L2Ads, 1);
-            let owed = self.l2_ifetch_fill(line, line + 1, 0);
+            let owed = self.l2_ifetch_fill(line..line + 1, 0);
             self.charge_l1i_stalls(owed);
             if self.cfg.pipe.ifetch_stream_buffer
                 && run_lines >= 2
@@ -1137,13 +1158,16 @@ mod tests {
         assert_send_sync::<CodeBlock>();
     }
 
-    /// `ifetch` — hit-runs, batched stall charges, known-miss lane — against
-    /// the per-line walk it replaced, which charges one miss at a time: after
+    /// `ifetch` — the two passes, the stop-at-each-miss walk of the
+    /// ablations, batched stall charges, known-miss lane — against the
+    /// per-line walk it replaced, which charges one miss at a time: after
     /// every step of a random mix of block executions (64 B to 200 KB, at
     /// overlapping unaligned bases, with fetch runs from none to the whole
     /// path) and data traffic, both processors must show the same counters,
     /// ledger and cycle clock — exact `f64` equality — and the same L1I/L2
-    /// statistics. Four sizes sit on the lane's threshold (a fetch of more
+    /// statistics and contents: every set's lines in LRU order, with dirty
+    /// bits, since a wrong stamp shows only as order until a later eviction
+    /// exposes it. Four sizes sit on the lane's threshold (a fetch of more
     /// than 1 024 lines here): 1 023 to 1 026 lines' worth of bytes, which
     /// span that many lines or one more as base and fetch phase fall, so the
     /// lane is refused by one line and by two, and taken with a middle of
@@ -1225,6 +1249,7 @@ mod tests {
                         (want.accesses(), want.misses(), want.writebacks()),
                         "{at}"
                     );
+                    assert!(got.contents() == want.contents(), "{at}: contents differ");
                 }
             }
             assert!(cpu.l1i().misses() > 10_000, "corner {corner} barely missed");

@@ -104,6 +104,34 @@ impl NaiveCache {
     }
 }
 
+/// Walks `lines` to the end through [`Cache::hit_run`], resuming after each
+/// miss as instruction fetch does, and holds every call's hits and miss to
+/// the model's outcomes for the same lines.
+fn hit_run_matches_model(
+    cache: &mut Cache,
+    model: &mut NaiveCache,
+    lines: impl Iterator<Item = u64> + Clone,
+    write: bool,
+) {
+    let (mut got, mut want) = (lines.clone(), lines);
+    loop {
+        let (hits, miss) = cache.hit_run(&mut got, write);
+        let mut want_hits = 0;
+        let want_miss = loop {
+            let Some(line) = want.next() else { break None };
+            let outcome = model.access(line, write);
+            if !outcome.hit {
+                break Some((line, outcome));
+            }
+            want_hits += 1;
+        };
+        prop_assert_eq!((hits, miss), (want_hits, want_miss));
+        if miss.is_none() {
+            return;
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -187,13 +215,15 @@ proptest! {
 
     /// `Cache` against [`NaiveCache`] over random interleavings of every
     /// entry point — reads, writes, probes, prefetch installs,
-    /// back-invalidations and contiguous runs — at associativities 1, 2, 4
-    /// and 8: each call's outcome and the running statistics must agree, and
+    /// back-invalidations, contiguous runs, and stop-at-miss walks over a
+    /// span and over an ascending list with gaps — at associativities 1, 2,
+    /// 4 and 8 (so both the 4-way instance of the lookup and the generic
+    /// one): each call's outcome and the running statistics must agree, and
     /// so must the final contents.
     #[test]
     fn cache_run_fast_path_matches_per_line(
         assoc_log2 in 0u32..4,
-        ops in proptest::collection::vec((0u8..7, 0u64..400, 1u64..40, any::<bool>()), 1..400)
+        ops in proptest::collection::vec((0u8..9, 0u64..400, 1u64..40, any::<bool>()), 1..400)
     ) {
         const SETS: u32 = 16;
         let assoc = 1u32 << assoc_log2;
@@ -209,6 +239,11 @@ proptest! {
                 3 => prop_assert_eq!(cache.install(line * 32), model.install(line)),
                 4 => prop_assert_eq!(cache.invalidate_line(line), model.invalidate(line)),
                 5 => prop_assert_eq!(cache.access_line(line, write), model.access(line, write)),
+                7 => hit_run_matches_model(&mut cache, &mut model, line..line + len, write),
+                8 => {
+                    let list: Vec<u64> = (line..line + 2 * len).filter(|l| (l ^ len) % 3 != 0).collect();
+                    hit_run_matches_model(&mut cache, &mut model, list.iter().copied(), write);
+                }
                 _ => {
                     missed.clear();
                     let stats = cache.access_run(line, len, write, &mut missed);
